@@ -56,7 +56,7 @@ fn bench_resources(c: &mut Criterion) {
 }
 
 fn bench_chip(c: &mut Criterion) {
-    let cost = NetworkCost::of::<f16>(&vpu_nn::googlenet::full());
+    let cost = std::sync::Arc::new(NetworkCost::of::<f16>(&vpu_nn::googlenet::full()));
     let mut g = c.benchmark_group("myriad2");
     g.throughput(Throughput::Elements(1));
     g.bench_function("run_cost/full-googlenet", |b| {

@@ -32,6 +32,7 @@
 //! sampling interval. Load the trace at <https://ui.perfetto.dev>.
 
 use serde::Serialize;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 use vpu_bench::{ablations, anchors, fig6, fig7, fig8, serve_bench, timeline, Scale};
 
@@ -81,10 +82,21 @@ impl EnergyJson {
     }
 }
 
-/// Comma-separated positive floats (`0.9,0.75,0.5`).
-fn parse_f64_list(s: &str) -> Option<Vec<f64>> {
+/// Comma-separated floats (`0.9,0.75,0.5`), each inside `range` (so
+/// never NaN or infinite).
+fn parse_f64_list(s: &str, range: &RangeInclusive<f64>) -> Option<Vec<f64>> {
     let vals: Vec<f64> = s.split(',').map(|v| v.parse::<f64>()).collect::<Result<_, _>>().ok()?;
-    (!vals.is_empty() && vals.iter().all(|&v| v > 0.0)).then_some(vals)
+    vals.iter().all(|v| range.contains(v)).then_some(vals)
+}
+
+/// A flag value the parse boundary rejected: one line, exit 2.
+fn bad_value(flag: &str, value: &str, range: &RangeInclusive<f64>) -> ExitCode {
+    eprintln!(
+        "bad {flag} '{value}': expected comma-separated numbers in [{}, {}]",
+        range.start(),
+        range.end()
+    );
+    ExitCode::from(2)
 }
 
 fn usage() -> ExitCode {
@@ -123,8 +135,8 @@ fn usage() -> ExitCode {
          integrity-fail, burn-rate) as DIR/incident_<n>.json with its trace window and a \
          one-line deterministic replay command\n\
          \x20      whatif sweeps --components (comma list of usb-write,usb-read,exec,\
-         batch-wait,dispatch,host) x --factors (e.g. 0.9,0.75,0.5) x --loads (capacity \
-         fractions), validating each analytic counterfactual against an actually-rescaled \
+         batch-wait,dispatch,host) x --factors (e.g. 0.9,0.75,0.5; each in [0.01, 100]) x \
+         --loads (capacity fractions in [0.01, 10]), validating each analytic counterfactual against an actually-rescaled \
          re-simulation; --tol-pct sets the agreement tolerance (default 10), --trace PATH \
          writes the baseline Chrome trace plus PATH.identity.json from the f=1.0 arm \
          (byte-identical by construction), exit 1 when the E24 gate is violated"
@@ -266,22 +278,18 @@ fn main() -> ExitCode {
             }
             "--factors" => {
                 let Some(v) = it.next() else { return usage() };
-                match parse_f64_list(v) {
+                let range = ncsw::ScalePlan::FACTOR_RANGE;
+                match parse_f64_list(v, &range) {
                     Some(l) => whatif_factors = Some(l),
-                    None => {
-                        eprintln!("bad --factors '{v}' (comma-separated positive numbers)");
-                        return usage();
-                    }
+                    None => return bad_value("--factors", v, &range),
                 }
             }
             "--loads" => {
                 let Some(v) = it.next() else { return usage() };
-                match parse_f64_list(v) {
+                let range = vpu_bench::whatif_bench::LOAD_RANGE;
+                match parse_f64_list(v, &range) {
                     Some(l) => whatif_loads = Some(l),
-                    None => {
-                        eprintln!("bad --loads '{v}' (comma-separated positive numbers)");
-                        return usage();
-                    }
+                    None => return bad_value("--loads", v, &range),
                 }
             }
             "--prof" => prof_on = true,
@@ -810,4 +818,26 @@ fn main() -> ExitCode {
         run(&exp, json);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn f64_lists_reject_non_finite_and_out_of_range_values() {
+        let factors = ncsw::ScalePlan::FACTOR_RANGE;
+        assert_eq!(parse_f64_list("0.9,0.75,0.5", &factors), Some(vec![0.9, 0.75, 0.5]));
+        assert_eq!(parse_f64_list("0.01,100", &factors), Some(vec![0.01, 100.0]));
+        for bad in ["inf", "-inf", "NaN", "1e-300", "0", "-0.5", "0.5,inf", "1e9", "", "0.5,", "x"]
+        {
+            assert_eq!(parse_f64_list(bad, &factors), None, "--factors {bad} accepted");
+        }
+        let loads = vpu_bench::whatif_bench::LOAD_RANGE;
+        // Every load the repo's runs use is accepted.
+        assert!(parse_f64_list("0.55,0.85", &loads).is_some());
+        for bad in ["inf", "NaN", "1e-300", "0", "11"] {
+            assert_eq!(parse_f64_list(bad, &loads), None, "--loads {bad} accepted");
+        }
+    }
 }

@@ -4,7 +4,8 @@
 //! the *simulator*, because the ROADMAP's million-request sweeps need a
 //! perf trajectory before the hot loop can be refactored safely. A
 //! fixed matrix of serving cells — the unobserved loop, the fully
-//! observed loop, a faulted run, and a closed-loop autoscaled run —
+//! observed loop, a faulted run, a closed-loop autoscaled run, and the
+//! unobserved loop again at [`LARGE_REQUESTS`] whatever the scale —
 //! each reports a **deterministic** `virt` block (requests, sim events,
 //! virtual horizon, exporter bytes: byte-identical across machines) and
 //! a **machine-dependent** `wall` block (wall-clock, events/sec,
@@ -91,7 +92,11 @@ pub struct SimBench {
     pub cells: Vec<SimBenchCell>,
 }
 
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
+
+/// Requests of the `serve/large` cell at every scale: enough that a
+/// per-request cost growing with run length shows in its wall block.
+pub const LARGE_REQUESTS: usize = 200_000;
 
 fn requests(scale: Scale) -> usize {
     match scale {
@@ -178,14 +183,17 @@ pub fn sim_bench(scale: Scale) -> SimBench {
 
     // Cell 1: the unobserved loop — NullRecorder, no sampler, the
     // fastest the simulator goes today.
-    let mut workers = spec.build(&model);
-    let t = Instant::now();
-    let outcome = serve(&mut workers, &cfg, &load, n);
-    let null = Measured {
-        outcome,
-        wall_ns: t.elapsed().as_nanos() as u64,
-        ledger: OverheadLedger::default(),
+    let unobserved = |n| {
+        let mut workers = spec.build(&model);
+        let t = Instant::now();
+        let outcome = serve(&mut workers, &cfg, &load, n);
+        Measured {
+            outcome,
+            wall_ns: t.elapsed().as_nanos() as u64,
+            ledger: OverheadLedger::default(),
+        }
     };
+    let null = unobserved(n);
 
     // Cell 2: the same run fully observed (event log + sampler +
     // registry), exports streamed and metered.
@@ -214,6 +222,9 @@ pub fn sim_bench(scale: Scale) -> SimBench {
     let autoscale = observed_cell(|| {
         serve_autoscaled_observed(&mut aworkers, &acfg, &aload, n, &scaling, policy.as_mut(), &ocfg)
     });
+
+    // Cell 5: the unobserved loop at a fixed large size.
+    let large = unobserved(LARGE_REQUESTS);
 
     let mut observed_wall = wall_of(&observed);
     if null.wall_ns > 0 {
@@ -246,6 +257,11 @@ pub fn sim_bench(scale: Scale) -> SimBench {
                 name: format!("autoscale/{AUTOSCALE_POLICY}"),
                 virt: virt_of(&autoscale, n),
                 wall: wall_of(&autoscale),
+            },
+            SimBenchCell {
+                name: "serve/large".into(),
+                virt: virt_of(&large, LARGE_REQUESTS),
+                wall: wall_of(&large),
             },
         ],
     }
@@ -489,11 +505,17 @@ mod tests {
     fn tiny_matrix_is_deterministic_on_the_virtual_clock() {
         let a = sim_bench(Scale::Tiny);
         let b = sim_bench(Scale::Tiny);
-        assert_eq!(a.cells.len(), 4);
+        assert_eq!(a.cells.len(), 5);
         let names: Vec<&str> = a.cells.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(
             names,
-            vec!["serve/null", "serve/observed", "serve/faulted", "autoscale/reactive"]
+            vec![
+                "serve/null",
+                "serve/observed",
+                "serve/faulted",
+                "autoscale/reactive",
+                "serve/large"
+            ]
         );
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             assert_eq!(ca.virt, cb.virt, "virt block of {} must be run-invariant", ca.name);
@@ -520,6 +542,11 @@ mod tests {
             a.cell("autoscale/reactive").unwrap().virt.sim_events > null.virt.requests as u64,
             "arrivals + dispatches + controller ticks must all count"
         );
+        // The large cell runs its fixed size to completion, unobserved.
+        let large = a.cell("serve/large").unwrap();
+        assert_eq!(large.virt.requests, LARGE_REQUESTS);
+        assert_eq!(large.virt.completed + large.virt.shed, LARGE_REQUESTS as u64);
+        assert_eq!(large.virt.events_recorded, 0);
         // Self-diff is clean at any tolerance.
         let d = sim_bench_diff(&a, &b, 1000.0);
         assert!(!d.regression && !d.virt_drift, "{}", d.render());

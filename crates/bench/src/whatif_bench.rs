@@ -43,6 +43,12 @@ pub const TOLERANCE_PCT: f64 = 10.0;
 const SHIFT_MS: f64 = 0.5;
 const SHIFT_PCT: f64 = 2.0;
 
+/// Offered loads the sweep accepts, as fractions of capacity: from a
+/// nearly idle fleet to ten times overload. The E24 grid runs 0.55 and
+/// 0.85; below the floor a run of any useful size spans an absurd
+/// virtual horizon.
+pub const LOAD_RANGE: std::ops::RangeInclusive<f64> = 0.01..=10.0;
+
 /// The sweep grid. [`Default`] is the full E24 grid: every component ×
 /// {0.9, 0.75, 0.5} × {uncongested, congested}.
 #[derive(Debug, Clone)]

@@ -11,8 +11,9 @@ use crate::model::ModelBundle;
 use desim::{Duration, SimTime, TraceLog};
 use ncs_platform::usb::UsbConfig;
 use ncs_platform::{Fleet, GraphHandle, Ncapi, NcsConfig, Topology};
-use ncsw_obs::{BatchObs, Ctx, Event, GanttRecorder, Lane, Phase, Recorder};
+use ncsw_obs::{BatchObs, Event, GanttRecorder, Lane, Phase};
 use rand::Rng;
+use rand_chacha::ChaCha8Rng;
 use vpu_num::{f16, rng};
 use vpu_tensor::Tensor;
 
@@ -62,7 +63,9 @@ pub struct PipelineReport {
     pub outputs: Vec<Option<Tensor<f16>>>,
     /// Joules consumed across all chips.
     pub energy_j: f64,
-    /// Host + device execution spans for the Fig. 4 timeline.
+    /// Host + device execution spans for the Fig. 4 timeline, built only
+    /// by the offline entry points ([`MultiVpu::run_pipeline`],
+    /// [`MultiVpu::run_pipeline_with`]); empty on the serving path.
     pub trace: TraceLog,
 }
 
@@ -90,7 +93,9 @@ pub struct MultiVpu {
     /// Completion instant of the previous pipeline run (host threads of a
     /// later run cannot start before it).
     last_end: SimTime,
-    images_issued: u64,
+    /// Host scheduling jitter, one draw per API call, continuing across
+    /// runs so back-to-back batches see fresh but deterministic jitter.
+    jitter: ChaCha8Rng,
 }
 
 impl MultiVpu {
@@ -109,7 +114,8 @@ impl MultiVpu {
             handles.push(h);
             ready = SimTime::max_of(ready, t);
         }
-        MultiVpu { api, handles, cfg, ready, last_end: ready, images_issued: 0 }
+        let jitter = rng::stream(cfg.seed, "host-jitter");
+        MultiVpu { api, handles, cfg, ready, last_end: ready, jitter }
     }
 
     pub fn devices(&self) -> usize {
@@ -135,46 +141,42 @@ impl MultiVpu {
         &self.cfg
     }
 
-    /// Run `count` inferences with no numerics (timing only).
+    /// Run `count` inferences with no numerics (timing only), with the
+    /// Fig. 4 timeline in [`PipelineReport::trace`].
     pub fn run_pipeline(&mut self, count: usize) -> PipelineReport {
         self.run_pipeline_with(count, |_| None)
     }
 
     /// Timing-only run whose host threads start no earlier than
     /// `not_before` — the incremental entry point an online batcher uses
-    /// to submit a formed batch at its (virtual) dispatch instant.
+    /// to submit a formed batch at its (virtual) dispatch instant. It
+    /// records nothing: [`PipelineReport::trace`] stays empty.
     pub fn run_pipeline_at(&mut self, count: usize, not_before: SimTime) -> PipelineReport {
-        self.run_pipeline_with_at(count, not_before, |_| None)
+        let mut null = ncsw_obs::NullRecorder;
+        self.run_pipeline_obs(count, not_before, |_| None, &mut BatchObs::disabled(&mut null))
     }
 
     /// Run `count` inferences; `numerics(i)` may supply the real FP16
     /// output of image `i` (computed by `vpu-nn` — bit-exact device
-    /// arithmetic), which rides through the device queue.
+    /// arithmetic), which rides through the device queue. The Fig. 4
+    /// timeline lands in [`PipelineReport::trace`].
     pub fn run_pipeline_with(
         &mut self,
         count: usize,
         numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
     ) -> PipelineReport {
-        self.run_pipeline_with_at(count, SimTime::ZERO, numerics)
-    }
-
-    /// The general form: numerics plus an earliest-start bound.
-    pub fn run_pipeline_with_at(
-        &mut self,
-        count: usize,
-        not_before: SimTime,
-        numerics: impl FnMut(usize) -> Option<Tensor<f16>>,
-    ) -> PipelineReport {
-        let mut null = ncsw_obs::NullRecorder;
-        self.run_pipeline_obs(count, not_before, numerics, &mut BatchObs::disabled(&mut null))
+        let mut gantt = GanttRecorder::new();
+        let mut obs = BatchObs { rec: &mut gantt, batch_id: 0, worker: 0, ids: &[] };
+        let report = self.run_pipeline_obs(count, SimTime::ZERO, numerics, &mut obs);
+        PipelineReport { trace: gantt.into_log(), ..report }
     }
 
     /// Instrumented form: identical timing, but every host `load`/`read`
     /// span, on-chip `exec` span and USB-fabric leg is also emitted as a
     /// structured [`Event`] (with `obs`'s request context) through
-    /// `obs.rec`. With a disabled recorder this path does no extra work
-    /// beyond the legacy trace it always built, so timing and RNG
-    /// consumption are bit-identical.
+    /// `obs.rec` (pass a [`GanttRecorder`] for the Fig. 4 timeline). With
+    /// a disabled recorder this path builds no events at all, so timing
+    /// and RNG consumption are bit-identical.
     pub fn run_pipeline_obs(
         &mut self,
         count: usize,
@@ -189,12 +191,6 @@ impl MultiVpu {
         }
         let worker = obs.worker;
         let n = self.cfg.devices;
-        let mut jitter = rng::stream(self.cfg.seed, "host-jitter");
-        // Skip jitter state consumed by earlier runs on this pipeline so
-        // back-to-back subsets see fresh but deterministic jitter.
-        for _ in 0..self.images_issued * 2 {
-            let _: u64 = jitter.gen();
-        }
 
         // Per-thread state.
         struct Thread {
@@ -218,9 +214,6 @@ impl MultiVpu {
         let start = threads.iter().map(|t| t.cursor).min().unwrap();
         let mut result_times = vec![SimTime::ZERO; count];
         let mut outputs: Vec<Option<Tensor<f16>>> = (0..count).map(|_| None).collect();
-        // The legacy Fig. 4 trace is now rebuilt from the same events the
-        // recorder sees, via the Gantt adapter.
-        let mut gantt = GanttRecorder::new();
         let depth = self.cfg.ncs.fifo_depth;
         let mut energy = 0.0f64;
 
@@ -248,21 +241,20 @@ impl MultiVpu {
             let dev = t.device as u32;
             if want_load {
                 let img = t.images[t.next_load];
-                let j = Duration::from_nanos(jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
+                let j =
+                    Duration::from_nanos(self.jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
                 let call_at = t.cursor + j;
                 let returned =
                     self.api.load_tensor(h, call_at, numerics(img)).expect("load_tensor");
-                let ctx = if recording { obs.ctx(img) } else { Ctx::NONE };
-                let load = Event::span(
-                    Phase::UsbWrite,
-                    Lane::Host { worker, dev },
-                    call_at,
-                    returned,
-                    ctx,
-                );
-                gantt.record(load);
                 if recording {
-                    obs.rec.record(load);
+                    let ctx = obs.ctx(img);
+                    obs.rec.record(Event::span(
+                        Phase::UsbWrite,
+                        Lane::Host { worker, dev },
+                        call_at,
+                        returned,
+                        ctx,
+                    ));
                     for s in self.api.fleet_mut().bus.take_tap() {
                         obs.rec.record(Event::span(
                             Phase::UsbWrite,
@@ -275,32 +267,28 @@ impl MultiVpu {
                 }
                 t.cursor = returned;
                 t.next_load += 1;
-                self.images_issued += 1;
             } else {
                 let img = t.images[t.next_get];
-                let j = Duration::from_nanos(jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
+                let j =
+                    Duration::from_nanos(self.jitter.gen_range(0..=self.cfg.host_jitter.nanos()));
                 let call_at = t.cursor + j;
                 let res = self.api.get_result(h, call_at).expect("get_result");
-                let ctx = if recording { obs.ctx(img) } else { Ctx::NONE };
-                let read = Event::span(
-                    Phase::UsbRead,
-                    Lane::Host { worker, dev },
-                    res.completion,
-                    res.returned_at,
-                    ctx,
-                );
-                let exec = Event::span(
-                    Phase::Exec,
-                    Lane::Vpu { worker, dev },
-                    res.run.start,
-                    res.run.end,
-                    ctx,
-                );
-                gantt.record(read);
-                gantt.record(exec);
                 if recording {
-                    obs.rec.record(read);
-                    obs.rec.record(exec);
+                    let ctx = obs.ctx(img);
+                    obs.rec.record(Event::span(
+                        Phase::UsbRead,
+                        Lane::Host { worker, dev },
+                        res.completion,
+                        res.returned_at,
+                        ctx,
+                    ));
+                    obs.rec.record(Event::span(
+                        Phase::Exec,
+                        Lane::Vpu { worker, dev },
+                        res.run.start,
+                        res.run.end,
+                        ctx,
+                    ));
                     for s in self.api.fleet_mut().bus.take_tap() {
                         obs.rec.record(Event::span(
                             Phase::UsbRead,
@@ -322,7 +310,6 @@ impl MultiVpu {
         if recording {
             self.api.fleet_mut().bus.set_tap(false);
         }
-        let trace = gantt.into_log();
         let end = *result_times.iter().max().unwrap();
         self.last_end = end;
         PipelineReport {
@@ -333,7 +320,7 @@ impl MultiVpu {
             result_times,
             outputs,
             energy_j: energy,
-            trace,
+            trace: TraceLog::new(),
         }
     }
 }
@@ -444,8 +431,10 @@ mod tests {
         let m = model();
         let plain = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &m).run_pipeline(8);
         let mut log = ncsw_obs::EventLog::new();
+        let mut gantt = GanttRecorder::new();
         let ids: Vec<u64> = (100..108).collect();
-        let mut obs = BatchObs { rec: &mut log, batch_id: 7, worker: 1, ids: &ids };
+        let mut tee = ncsw_obs::Tee { a: &mut gantt, b: &mut log };
+        let mut obs = BatchObs { rec: &mut tee, batch_id: 7, worker: 1, ids: &ids };
         let observed = MultiVpu::new(MultiVpuConfig::paper_testbed(4), &m).run_pipeline_obs(
             8,
             SimTime::ZERO,
@@ -453,7 +442,8 @@ mod tests {
             &mut obs,
         );
         assert_eq!(plain.result_times, observed.result_times, "instrumentation changed timing");
-        assert_eq!(plain.trace, observed.trace, "legacy Fig. 4 trace must be preserved");
+        assert!(observed.trace.is_empty(), "the serving path builds no Gantt");
+        assert_eq!(plain.trace, gantt.into_log(), "legacy Fig. 4 trace must be preserved");
         // Every image gets a write/exec/read triple tagged with its id.
         for id in 100..108u64 {
             let evs = log.for_request(id);
@@ -467,6 +457,21 @@ mod tests {
         assert!(log.events().iter().any(|e| matches!(e.lane, Lane::UsbHub { .. })));
         // Batch context propagates to every event.
         assert!(log.events().iter().all(|e| e.ctx.batch_id == Some(7) && e.ctx.worker == Some(1)));
+    }
+
+    #[test]
+    fn back_to_back_batches_keep_the_pinned_jitter_stream() {
+        // 64 serving-style batches on one pipeline draw the host-jitter
+        // stream across batch boundaries; the fingerprint of every
+        // result instant pins the draw order.
+        let mut mv = MultiVpu::new(MultiVpuConfig::paper_testbed(8), &model());
+        let mut words = Vec::new();
+        for b in 0..64u64 {
+            let r = mv.run_pipeline_at(8, SimTime::ZERO + Duration::from_millis(50.0 * b as f64));
+            words.extend(r.result_times.iter().map(|t| t.nanos()));
+        }
+        let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(rng::fnv1a(&bytes), 0x0c41_013e_ece7_df54, "host-jitter draws moved");
     }
 
     #[test]

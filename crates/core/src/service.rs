@@ -23,6 +23,10 @@ use desim::{Duration, SimTime};
 use myriad2::power::PowerModel;
 use ncsw_obs::{BatchObs, Ctx, EnergyProfile, Event, Lane, Phase};
 
+/// Largest batch the GPU worker ever reports, however much memory is
+/// free.
+const GPU_BATCH_LIMIT: usize = 4096;
+
 /// Watts to the integer milliwatts the energy meter integrates with.
 fn mw(watts: f64) -> u64 {
     (watts * 1e3).round() as u64
@@ -229,12 +233,7 @@ impl ServiceHook for NvGpu {
     }
 
     fn max_batch(&self) -> Option<usize> {
-        let cost = &self.model().cost32;
-        let mut b = 1;
-        while b < 4096 && self.device().batch_fits(cost, b + 1) {
-            b += 1;
-        }
-        Some(b)
+        Some(self.device().max_batch(&self.model().cost32, GPU_BATCH_LIMIT))
     }
 
     fn energy_profile(&self) -> EnergyProfile {
@@ -360,8 +359,20 @@ fn scale_ns(x: u64, f: f64) -> u64 {
 }
 
 impl ScalePlan {
+    /// Factors a plan accepts: from a component 100× faster to one 100×
+    /// slower. Every factor the what-if experiments use (0.5–1.0) lies
+    /// well inside; far outside it the scaled service times round to
+    /// zero or overflow the virtual clock.
+    pub const FACTOR_RANGE: std::ops::RangeInclusive<f64> = 0.01..=100.0;
+
+    /// Panics on a factor outside [`ScalePlan::FACTOR_RANGE`] (NaN and
+    /// infinities included); [`ScalePlan::parse`] is the checked form.
     pub fn new(component: ScaleComponent, factor: f64) -> ScalePlan {
-        assert!(factor > 0.0, "scale factor must be positive");
+        assert!(
+            ScalePlan::FACTOR_RANGE.contains(&factor),
+            "scale factor {factor} outside {:?}",
+            ScalePlan::FACTOR_RANGE
+        );
         ScalePlan { component, factor }
     }
 
@@ -374,16 +385,13 @@ impl ScalePlan {
         self.factor == 1.0
     }
 
-    /// `component@factor`, e.g. `exec@0.5`.
+    /// `component@factor`, e.g. `exec@0.5`; `None` on an unknown
+    /// component or a factor outside [`ScalePlan::FACTOR_RANGE`].
     pub fn parse(s: &str) -> Option<ScalePlan> {
         let (c, f) = s.split_once('@')?;
         let component = ScaleComponent::parse(c)?;
         let factor: f64 = f.parse().ok()?;
-        if factor > 0.0 {
-            Some(ScalePlan { component, factor })
-        } else {
-            None
-        }
+        ScalePlan::FACTOR_RANGE.contains(&factor).then_some(ScalePlan { component, factor })
     }
 
     /// CPU config with this plan applied.
@@ -544,6 +552,70 @@ mod tests {
         let p = vpu.energy_profile();
         assert_eq!(p.label, "vpu x4");
         assert_eq!((p.busy_mw, p.idle_mw, p.tdp_mw), (3_600, 688, 10_000));
+    }
+
+    #[test]
+    fn scale_plans_reject_non_finite_and_out_of_range_factors() {
+        assert_eq!(ScalePlan::parse("exec@0.5"), Some(ScalePlan::new(ScaleComponent::Exec, 0.5)));
+        for ok in ["host@0.01", "usb-write@100", "dispatch@1", "batch-wait@0.75"] {
+            assert!(ScalePlan::parse(ok).is_some(), "{ok} rejected");
+        }
+        for bad in [
+            "exec@inf",
+            "exec@-inf",
+            "exec@NaN",
+            "exec@1e-300",
+            "exec@0",
+            "exec@-1",
+            "exec@0.009",
+            "exec@100.5",
+            "exec@1e300",
+            "exec@",
+            "exec",
+            "warp@0.5",
+        ] {
+            assert_eq!(ScalePlan::parse(bad), None, "{bad} accepted");
+        }
+        for bad in [f64::INFINITY, f64::NAN, 1e-300, 0.0, 1e3] {
+            let r = std::panic::catch_unwind(|| ScalePlan::new(ScaleComponent::Exec, bad));
+            assert!(r.is_err(), "ScalePlan::new accepted {bad}");
+        }
+    }
+
+    #[test]
+    fn gpu_max_batch_equals_the_linear_probe() {
+        // The probe the closed form replaced: grow the batch while the
+        // next size still fits, up to the limit.
+        fn probe(gpu: &hostsim::GpuDevice, cost: &vpu_nn::cost::NetworkCost) -> usize {
+            let mut b = 1;
+            while b < GPU_BATCH_LIMIT && gpu.batch_fits(cost, b + 1) {
+                b += 1;
+            }
+            b
+        }
+        let m = model();
+        for cost in [&m.cost32, &m.cost16] {
+            let w = cost.total_weight_bytes();
+            let p = 3 * cost.total_activation_bytes();
+            let mut sizes = vec![0, 1, w / 2, w - 1, w, w + 1, w + p - 1, w + p, w + 2 * p - 1];
+            sizes.extend([w + 2 * p, w + 7 * p + 3, w + 4095 * p, w + 4096 * p, w + 5000 * p]);
+            sizes.extend([1 << 30, 3 << 30, 12 << 30, u64::MAX / 2]);
+            sizes.extend((0..64).map(|k| w + k * (p / 3 + 17)));
+            for memory_bytes in sizes {
+                let cfg = hostsim::GpuConfig { memory_bytes, ..hostsim::GpuConfig::default() };
+                let gpu = NvGpu::with_config(m.clone(), cfg);
+                let want = probe(gpu.device(), cost);
+                assert_eq!(
+                    gpu.device().max_batch(cost, GPU_BATCH_LIMIT),
+                    want,
+                    "{} at {memory_bytes} B",
+                    cost.network
+                );
+                if std::ptr::eq(cost, &m.cost32) {
+                    assert_eq!(gpu.max_batch(), Some(want));
+                }
+            }
+        }
     }
 
     #[test]

@@ -151,8 +151,9 @@ impl IntelVpu {
         // the served instance's virtual clock stays untouched: one wave
         // gives the fill latency, three waves give the steady-state
         // marginal wave cost.
-        let one = MultiVpu::new(cfg.clone(), &model).run_pipeline(n).makespan();
-        let three = MultiVpu::new(cfg.clone(), &model).run_pipeline(3 * n).makespan();
+        let one = MultiVpu::new(cfg.clone(), &model).run_pipeline_at(n, SimTime::ZERO).makespan();
+        let three =
+            MultiVpu::new(cfg.clone(), &model).run_pipeline_at(3 * n, SimTime::ZERO).makespan();
         let per_wave = if three > one { (three - one) / 2 } else { one };
         let mv = MultiVpu::new(cfg, &model);
         IntelVpu { mv, model, svc_first_wave: one, svc_per_wave: per_wave }

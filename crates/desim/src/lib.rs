@@ -19,6 +19,6 @@ pub mod time;
 pub mod trace;
 
 pub use queue::{EventQueue, QueueStats};
-pub use resource::{FifoResource, ServerPool};
+pub use resource::{Burst, FifoResource, PoolBurst, ServerPool};
 pub use time::{Duration, SimTime};
 pub use trace::{Span, TraceLog};

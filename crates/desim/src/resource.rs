@@ -80,6 +80,55 @@ impl FifoResource {
             self.busy_total.nanos() as f64 / horizon.nanos() as f64
         }
     }
+
+    /// What the acquisitions that took `before` (this resource, idle by
+    /// `origin`) to `self` did, relative to `origin`.
+    pub fn burst_since(&self, before: &FifoResource, origin: SimTime) -> Burst {
+        debug_assert!(before.available_at <= origin, "burst must start on an idle resource");
+        let requests = self.requests - before.requests;
+        Burst {
+            idle_after: (requests > 0).then(|| self.available_at - origin),
+            busy: self.busy_total - before.busy_total,
+            requests,
+        }
+    }
+
+    /// Re-run a recorded burst from `origin`, where this resource must be
+    /// idle: afterwards it is in exactly the state the same acquisitions,
+    /// shifted to `origin`, would have left.
+    pub fn replay(&mut self, burst: &Burst, origin: SimTime) {
+        debug_assert!(self.available_at <= origin, "replay onto a busy resource");
+        if let Some(d) = burst.idle_after {
+            self.available_at = origin + d;
+        }
+        self.busy_total += burst.busy;
+        self.requests += burst.requests;
+    }
+}
+
+/// What a run of acquisitions did to a resource that was idle when the
+/// run began: the busy time and requests it added and, if it used the
+/// resource, how long after the start the resource fell idle again.
+///
+/// Acquisitions that all start at or after an instant where the
+/// resource is idle never wait on earlier work, so their outcome only
+/// depends on their own inputs, shifted by that instant. A burst
+/// recorded once can therefore be replayed at any later idle instant
+/// instead of repeating the acquisitions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Burst {
+    idle_after: Option<Duration>,
+    busy: Duration,
+    requests: u64,
+}
+
+/// A [`Burst`] on a [`ServerPool`]: when each server fell idle again,
+/// for the servers the run left busy past its start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PoolBurst {
+    idle_after: Vec<Option<Duration>>,
+    busy: Duration,
+    requests: u64,
 }
 
 /// `k` identical parallel servers with a shared FIFO queue — the SHAVE
@@ -175,6 +224,31 @@ impl ServerPool {
             self.busy_total.nanos() as f64 / (horizon.nanos() as f64 * self.servers() as f64)
         }
     }
+
+    /// [`FifoResource::burst_since`] for the pool. Replaying it is exact
+    /// when every acquisition of the run forks across the whole pool
+    /// (as the SHAVE layers do); otherwise it is equivalent up to which
+    /// idle server took which part.
+    pub fn burst_since(&self, before: &ServerPool, origin: SimTime) -> PoolBurst {
+        debug_assert!(before.all_free() <= origin, "burst must start on an idle pool");
+        PoolBurst {
+            idle_after: self.free_at.iter().map(|&t| (t > origin).then(|| t - origin)).collect(),
+            busy: self.busy_total - before.busy_total,
+            requests: self.requests - before.requests,
+        }
+    }
+
+    /// [`FifoResource::replay`] for the pool.
+    pub fn replay(&mut self, burst: &PoolBurst, origin: SimTime) {
+        debug_assert!(self.all_free() <= origin, "replay onto a busy pool");
+        for (free, d) in self.free_at.iter_mut().zip(&burst.idle_after) {
+            if let Some(d) = d {
+                *free = origin + *d;
+            }
+        }
+        self.busy_total += burst.busy;
+        self.requests += burst.requests;
+    }
 }
 
 #[cfg(test)]
@@ -253,6 +327,45 @@ mod tests {
         p.acquire(SimTime(0), Duration(100));
         // One of two servers busy for 100 of 200 ns -> 25%.
         assert!((p.utilization(SimTime(200)) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn fifo_burst_replays_as_shifted_acquisitions() {
+        let mut r = FifoResource::new("ddr");
+        r.acquire(SimTime(0), Duration(40));
+        let before = r.clone();
+        r.acquire(SimTime(100), Duration(30));
+        r.acquire(SimTime(110), Duration(20));
+        let burst = r.burst_since(&before, SimTime(100));
+        let mut direct = r.clone();
+        direct.acquire(SimTime(500), Duration(30));
+        direct.acquire(SimTime(510), Duration(20));
+        r.replay(&burst, SimTime(500));
+        assert_eq!(r.available_at(), direct.available_at());
+        assert_eq!((r.busy_total(), r.requests()), (direct.busy_total(), direct.requests()));
+        // An untouched resource keeps its own idle instant.
+        let idle = FifoResource::new("sipp");
+        let none = idle.burst_since(&idle, SimTime(7));
+        let mut other = FifoResource::new("sipp");
+        other.acquire(SimTime(0), Duration(3));
+        other.replay(&none, SimTime(9));
+        assert_eq!((other.available_at(), other.requests()), (SimTime(3), 1));
+    }
+
+    #[test]
+    fn pool_burst_replays_as_shifted_fork_join() {
+        let mut p = ServerPool::new("shaves", 3);
+        let before = p.clone();
+        p.acquire_parallel(SimTime(10), Duration(300), 3);
+        p.acquire_parallel(SimTime(120), Duration(30), 3);
+        let burst = p.burst_since(&before, SimTime(10));
+        let mut direct = p.clone();
+        direct.acquire_parallel(SimTime(1_000), Duration(300), 3);
+        direct.acquire_parallel(SimTime(1_110), Duration(30), 3);
+        p.replay(&burst, SimTime(1_000));
+        assert_eq!(p.all_free(), direct.all_free());
+        assert_eq!(p.next_free(), direct.next_free());
+        assert_eq!((p.busy_total(), p.requests()), (direct.busy_total(), direct.requests()));
     }
 
     #[test]

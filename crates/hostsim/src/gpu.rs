@@ -108,6 +108,19 @@ impl GpuDevice {
         cost.total_weight_bytes() + per_image * batch as u64 <= self.cfg.memory_bytes
     }
 
+    /// Largest batch in `1..=limit` that [`GpuDevice::batch_fits`], in
+    /// closed form; `1` when not even two images fit (a single image is
+    /// always worth a launch attempt).
+    pub fn max_batch(&self, cost: &NetworkCost, limit: usize) -> usize {
+        let weights = cost.total_weight_bytes();
+        if weights > self.cfg.memory_bytes {
+            return 1;
+        }
+        let per_image = 3 * cost.total_activation_bytes();
+        let fitting = (self.cfg.memory_bytes - weights).checked_div(per_image).unwrap_or(u64::MAX);
+        fitting.clamp(1, limit as u64) as usize
+    }
+
     /// Predicted duration of one batched forward call.
     pub fn batch_duration(&self, cost: &NetworkCost, batch: usize) -> Duration {
         assert!(batch > 0, "batch must be positive");

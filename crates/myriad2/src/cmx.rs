@@ -107,6 +107,14 @@ impl Cmx {
     pub fn busy_total(&self) -> Duration {
         self.banks.iter().map(|b| b.busy_total()).sum()
     }
+
+    pub(crate) fn banks(&self) -> &[FifoResource] {
+        &self.banks
+    }
+
+    pub(crate) fn banks_mut(&mut self) -> &mut [FifoResource] {
+        &mut self.banks
+    }
 }
 
 #[cfg(test)]

@@ -70,6 +70,14 @@ impl DdrChannel {
     pub fn available_at(&self) -> SimTime {
         self.chan.available_at()
     }
+
+    pub(crate) fn channel(&self) -> &FifoResource {
+        &self.chan
+    }
+
+    pub(crate) fn channel_mut(&mut self) -> &mut FifoResource {
+        &mut self.chan
+    }
 }
 
 #[cfg(test)]

@@ -71,6 +71,14 @@ impl SippPipeline {
     pub fn busy_total(&self) -> Duration {
         self.engine.busy_total()
     }
+
+    pub(crate) fn engine(&self) -> &FifoResource {
+        &self.engine
+    }
+
+    pub(crate) fn engine_mut(&mut self) -> &mut FifoResource {
+        &mut self.engine
+    }
 }
 
 #[cfg(test)]

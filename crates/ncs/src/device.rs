@@ -95,7 +95,7 @@ pub struct NcsDevice {
 impl NcsDevice {
     pub fn new(index: usize, port: UsbPort, cfg: NcsConfig) -> Self {
         NcsDevice {
-            chip: Myriad2::with_lane(cfg.chip.time_scaled(cfg.exec_scale), format!("vpu{index}")),
+            chip: Myriad2::new(cfg.chip.time_scaled(cfg.exec_scale)),
             risc: FifoResource::new(format!("risc{index}")),
             cfg,
             port,

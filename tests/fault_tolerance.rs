@@ -198,3 +198,67 @@ fn deadline_aware_shedding_degrades_more_gracefully_than_reject() {
         reject.latency.p99_ms
     );
 }
+
+/// FNV-1a over every completed and shed record plus the fleet energy in
+/// picojoules: the whole virtual outcome of a run in one word.
+fn outcome_digest(o: &ServeOutcome) -> u64 {
+    let mut words = vec![o.completed.len() as u64];
+    for r in &o.completed {
+        words.extend([
+            r.id,
+            r.arrival.nanos(),
+            r.dispatched.nanos(),
+            r.service_start.nanos(),
+            r.completed.nanos(),
+            r.worker as u64,
+            r.batch as u64,
+            u64::from(r.attempts),
+        ]);
+    }
+    words.push(o.shed.len() as u64);
+    for s in &o.shed {
+        words.extend([s.id, s.arrival.nanos(), s.shed_at.nanos(), s.cause as u64]);
+    }
+    words.push(o.energy.totals(o.energy_horizon()).fleet_pj());
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    vpu_coprocessor::num::rng::fnv1a(&bytes)
+}
+
+#[test]
+fn faulted_vpu_fleet_outcome_is_pinned() {
+    // Full-geometry GoogLeNet on the elastic eight-stick fleet, with an
+    // unplug that heals and a fail-slow window: every device-layer
+    // shortcut (memoized chip runs, the kept host-jitter stream) must
+    // leave this digest unchanged.
+    let model = ModelBundle::googlenet_untrained(Variant::Full, 1);
+    let spec = FleetSpec::parse("8*vpu").unwrap();
+    let probe = spec.build(&model);
+    let rate = spec.capacity_rps(&probe) * 0.6;
+    drop(probe);
+    let mut plan = FaultPlan::empty();
+    plan.push(
+        Some(2),
+        FaultEvent::StickUnplug {
+            at: Duration::from_secs(1.0),
+            reconnect_after: Some(Duration::from_secs(1.5)),
+        },
+    );
+    plan.push(
+        Some(5),
+        FaultEvent::FailSlow {
+            at: Duration::from_secs(2.0),
+            duration: Duration::from_secs(2.0),
+            factor: 6.0,
+        },
+    );
+    let cfg = ServeConfig {
+        max_batch: spec.preferred_batch(&spec.build(&model)),
+        ..ServeConfig::default()
+    };
+    let mut workers = plan.apply(spec.build(&model), cfg.seed);
+    let load = ArrivalProcess::Poisson { rate_per_sec: rate };
+    let outcome = serve(&mut workers, &cfg, &load, 600);
+    assert!(outcome.faults.injected > 0, "no fault hit a dispatch");
+    assert_eq!(outcome.completed.len() + outcome.shed.len(), 600);
+    assert_eq!(outcome_digest(&outcome), 0xeab1_5a2b_a982_01fb, "faulted 8*vpu outcome drifted");
+}
