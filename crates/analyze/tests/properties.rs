@@ -129,6 +129,79 @@ fn emit(log: &mut EventLog, id: u64, p: &ReqPlan, batch_seq: &mut u64) {
     log.record(Event::instant(Phase::Complete, Lane::Server, done, a));
 }
 
+/// Raw shape of one arbitrary event: (kind, phase, lane, cause)
+/// selectors, (start, dur) in ns, (which ctx fields are set, request,
+/// batch, worker) and a counter reading; decoded by [`event_of`].
+type RawEvent = ((u8, u8, u8, u8), (u64, u64), (u8, u64, u64, u32), u64);
+
+/// Timestamps and durations reach 10^13 ns (about 2.8 virtual hours).
+const MAX_NS: u64 = 10_000_000_000_000;
+
+fn raw_event() -> impl Strategy<Value = RawEvent> {
+    (
+        (0u8..3, 0u8..Phase::ALL.len() as u8, 0u8..9, 0u8..8),
+        (0u64..=MAX_NS, 0u64..=MAX_NS),
+        (0u8..8, 0u64..1 << 40, 0u64..1 << 40, 0u32..64),
+        0u64..1 << 40,
+    )
+}
+
+/// Kind 0 (and any `PowerSample`) is a counter, 1 an instant, 2 a span;
+/// non-counters carry a shed cause half the time.
+fn event_of(raw: &RawEvent) -> Event {
+    let ((kind, phase, lane, cause), (start, dur), (set, request, batch, worker), mw) = *raw;
+    let lane = [
+        Lane::Server,
+        Lane::Queue,
+        Lane::Alerts,
+        Lane::Worker(3),
+        Lane::Host { worker: 1, dev: 2 },
+        Lane::Vpu { worker: 2, dev: 7 },
+        Lane::UsbRoot { worker: 2 },
+        Lane::UsbHub { worker: 2, hub: 1 },
+        Lane::Power(1),
+    ][lane as usize];
+    let ctx = Ctx {
+        request_id: (set & 1 != 0).then_some(request),
+        batch_id: (set & 2 != 0).then_some(batch),
+        worker: (set & 4 != 0).then_some(worker),
+    };
+    let (phase, start) = (Phase::ALL[phase as usize], SimTime(start));
+    if kind == 0 || phase == Phase::PowerSample {
+        return Event::counter(lane, start, mw, ctx);
+    }
+    let ev = match kind {
+        1 => Event::instant(phase, lane, start, ctx),
+        _ => Event::span(phase, lane, start, SimTime(start.nanos() + dur), ctx),
+    };
+    match ShedCause::ALL.get(cause as usize) {
+        Some(&c) => ev.with_cause(c),
+        None => ev,
+    }
+}
+
+fn log_of(events: impl IntoIterator<Item = Event>) -> EventLog {
+    let mut log = EventLog::new();
+    for ev in events {
+        log.record(ev);
+    }
+    log
+}
+
+#[test]
+fn chrome_round_trip_is_lossless_at_the_extremes() {
+    let r = Ctx::request(u64::from(u32::MAX)).with_batch(1 << 40).with_worker(u32::MAX);
+    let log = log_of([
+        Event::instant(Phase::Arrive, Lane::Server, SimTime(0), Ctx::NONE),
+        Event::span(Phase::Exec, Lane::Worker(0), SimTime(MAX_NS), SimTime(2 * MAX_NS), r),
+        Event::span(Phase::Shed, Lane::Queue, SimTime(999), SimTime(1_000), r)
+            .with_cause(ShedCause::RetriesExhausted),
+        Event::counter(Lane::Power(0), SimTime(MAX_NS - 1), 1 << 52, Ctx::NONE),
+    ]);
+    let back = ncsw_analyze::parse_chrome_trace(&ncsw_obs::chrome_trace(&log)).unwrap();
+    assert_eq!(back, log);
+}
+
 fn build_log(plans: &[ReqPlan]) -> EventLog {
     let mut log = EventLog::new();
     let mut batch_seq = 0u64;
@@ -226,6 +299,18 @@ proptest! {
             fwd.per_request.max_regression_ms,
             rev.per_request.max_improvement_ms
         );
+    }
+
+    /// Export → parse gives back the very event log: every phase, lane,
+    /// counter reading, shed cause and context field, with timestamps
+    /// and durations up to 10^13 ns.
+    #[test]
+    fn chrome_round_trip_is_lossless_on_the_event_log(
+        raw in proptest::collection::vec(raw_event(), 1..60),
+    ) {
+        let log = log_of(raw.iter().map(event_of));
+        let back = ncsw_analyze::parse_chrome_trace(&ncsw_obs::chrome_trace(&log));
+        prop_assert_eq!(back, Ok(log));
     }
 
     /// Export → parse → analyze gives byte-identical attribution to

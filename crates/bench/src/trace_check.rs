@@ -90,7 +90,7 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
     let events = doc
         .get("traceEvents")
         .and_then(Value::as_seq)
-        .ok_or("missing traceEvents array".to_string())?;
+        .ok_or_else(|| "missing traceEvents array".to_string())?;
 
     let mut tracks = 0usize;
     let mut count = 0usize;
@@ -125,13 +125,15 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
     let mut sampling: Option<SampleStats> = None;
 
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev.get("ph").and_then(Value::as_str).ok_or(format!("event {i}: missing ph"))?;
+        let ph =
+            ev.get("ph").and_then(Value::as_str).ok_or_else(|| format!("event {i}: missing ph"))?;
         if ph == "M" {
             match ev.get("name").and_then(Value::as_str) {
                 Some("thread_name") => tracks += 1,
                 Some("sampling") => {
-                    let args =
-                        ev.get("args").ok_or(format!("event {i}: sampling row without args"))?;
+                    let args = ev
+                        .get("args")
+                        .ok_or_else(|| format!("event {i}: sampling row without args"))?;
                     sampling = Some(SampleStats::from_value(args).map_err(|e| {
                         format!("event {i}: malformed sampling metadata row: {e:?}")
                     })?);
@@ -146,7 +148,7 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
             ev.get("args")
                 .and_then(|a| a.get("mw"))
                 .and_then(number)
-                .ok_or(format!("event {i}: counter without a numeric mw arg"))?;
+                .ok_or_else(|| format!("event {i}: counter without a numeric mw arg"))?;
             power_samples += 1;
             count += 1;
             continue;
@@ -155,12 +157,20 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
             return Err(format!("event {i}: unexpected ph {ph:?}"));
         }
         count += 1;
-        let name =
-            ev.get("name").and_then(Value::as_str).ok_or(format!("event {i}: missing name"))?;
-        let ts = ev.get("ts").and_then(number).ok_or(format!("event {i}: missing numeric ts"))?;
+        let name = ev
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("event {i}: missing name"))?;
+        let ts = ev
+            .get("ts")
+            .and_then(number)
+            .ok_or_else(|| format!("event {i}: missing numeric ts"))?;
         let mut dur = 0.0;
         if ph == "X" {
-            dur = ev.get("dur").and_then(number).ok_or(format!("event {i}: span without dur"))?;
+            dur = ev
+                .get("dur")
+                .and_then(number)
+                .ok_or_else(|| format!("event {i}: span without dur"))?;
             if dur < 0.0 {
                 return Err(format!("event {i}: negative dur"));
             }
@@ -175,7 +185,7 @@ pub fn validate(json: &str) -> Result<TraceCheck, String> {
                 .get("args")
                 .and_then(|a| a.get("cause"))
                 .and_then(Value::as_str)
-                .ok_or(format!("event {i}: Shed without a cause arg"))?;
+                .ok_or_else(|| format!("event {i}: Shed without a cause arg"))?;
             if ShedCause::parse(cause).is_none() {
                 return Err(format!("event {i}: Shed with unknown cause {cause:?}"));
             }

@@ -23,33 +23,68 @@
 use crate::event::{Event, Lane, Phase};
 use crate::prof::WriteStats;
 use crate::recorder::EventLog;
-use std::fmt::Write as _;
-use std::io;
+use std::io::{self, Write as _};
+
+/// Append `v` in decimal.
+fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
 
 /// Microseconds with fixed 3-decimal nanosecond remainder — exact and
 /// deterministic (no float formatting).
-fn us(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
+fn push_us(out: &mut Vec<u8>, ns: u64) {
+    push_u64(out, ns / 1_000);
+    let rem = (ns % 1_000) as u16;
+    let digit = |d: u16| b'0' + d as u8;
+    out.extend_from_slice(&[b'.', digit(rem / 100), digit(rem / 10 % 10), digit(rem % 10)]);
 }
 
-fn args_of(ev: &Event) -> String {
-    let mut parts = Vec::with_capacity(4);
-    if let Some(r) = ev.ctx.request_id {
-        parts.push(format!("\"request_id\":{r}"));
-    }
-    if let Some(b) = ev.ctx.batch_id {
-        parts.push(format!("\"batch_id\":{b}"));
-    }
-    if let Some(w) = ev.ctx.worker {
-        parts.push(format!("\"worker\":{w}"));
+#[cfg(test)]
+fn us(ns: u64) -> String {
+    let mut out = Vec::new();
+    push_us(&mut out, ns);
+    String::from_utf8(out).expect("digits are ASCII")
+}
+
+/// Append the `args` object: request context, shed cause, counter value.
+fn push_args(out: &mut Vec<u8>, ev: &Event) {
+    let open = out.len();
+    let ctx = [
+        (&b",\"request_id\":"[..], ev.ctx.request_id),
+        (b",\"batch_id\":", ev.ctx.batch_id),
+        (b",\"worker\":", ev.ctx.worker.map(u64::from)),
+    ];
+    for (key, value) in ctx {
+        if let Some(v) = value {
+            out.extend_from_slice(key);
+            push_u64(out, v);
+        }
     }
     if let Some(c) = ev.cause {
-        parts.push(format!("\"cause\":\"{}\"", c.name()));
+        out.extend_from_slice(b",\"cause\":\"");
+        out.extend_from_slice(c.name().as_bytes());
+        out.push(b'"');
     }
     if let Some(v) = ev.value {
-        parts.push(format!("\"mw\":{v}"));
+        out.extend_from_slice(b",\"mw\":");
+        push_u64(out, v);
     }
-    format!("{{{}}}", parts.join(","))
+    // The first field's separator becomes the opening brace.
+    match out.get_mut(open) {
+        Some(sep) => *sep = b'{',
+        None => out.push(b'{'),
+    }
+    out.push(b'}');
 }
 
 /// Incremental Chrome-trace serializer over any [`io::Write`] sink.
@@ -62,7 +97,9 @@ fn args_of(ev: &Event) -> String {
 pub struct ChromeWriter<W: io::Write> {
     sink: W,
     lanes: Vec<Lane>,
-    row: String,
+    /// `lanes[tid].name()`, rendered once.
+    names: Vec<String>,
+    row: Vec<u8>,
     stats: WriteStats,
 }
 
@@ -70,32 +107,40 @@ impl<W: io::Write> ChromeWriter<W> {
     /// Start a trace document over `sink` for the given lane set (track
     /// order and `tid` assignment follow `lanes`; use
     /// [`EventLog::lanes`] for first-appearance order).
-    pub fn new(mut sink: W, lanes: &[Lane]) -> io::Result<ChromeWriter<W>> {
-        let mut stats = WriteStats::default();
-        let mut row = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-        row.push_str(
-            "{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
-             \"args\":{\"name\":\"ncsw\"}}",
+    pub fn new(sink: W, lanes: &[Lane]) -> io::Result<ChromeWriter<W>> {
+        let names: Vec<String> = lanes.iter().map(|l| l.name()).collect();
+        let mut w = ChromeWriter {
+            sink,
+            lanes: lanes.to_vec(),
+            names,
+            row: Vec::new(),
+            stats: WriteStats::default(),
+        };
+        w.row.extend_from_slice(
+            b"{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n\
+              {\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"process_name\",\
+              \"args\":{\"name\":\"ncsw\"}}",
         );
-        for (tid, lane) in lanes.iter().enumerate() {
-            let _ = write!(
-                row,
+        for (tid, (lane, name)) in lanes.iter().zip(&w.names).enumerate() {
+            write!(
+                w.row,
                 ",\n{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_name\",\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                lane.name()
-            );
-            let _ = write!(
-                row,
-                ",\n{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_sort_index\",\
+                 \"args\":{{\"name\":\"{name}\"}}}}\
+                 ,\n{{\"ph\":\"M\",\"pid\":0,\"tid\":{tid},\"name\":\"thread_sort_index\",\
                  \"args\":{{\"sort_index\":{}}}}}",
                 lane.sort_rank()
-            );
+            )?;
         }
-        stats.peak_buffered = stats.peak_buffered.max(row.len() as u64);
-        sink.write_all(row.as_bytes())?;
-        stats.bytes += row.len() as u64;
-        row.clear();
-        Ok(ChromeWriter { sink, lanes: lanes.to_vec(), row, stats })
+        w.flush_row()?;
+        Ok(w)
+    }
+
+    /// Write the scratch row to the sink and account for it.
+    fn flush_row(&mut self) -> io::Result<()> {
+        self.stats.peak_buffered = self.stats.peak_buffered.max(self.row.len() as u64);
+        self.sink.write_all(&self.row)?;
+        self.stats.bytes += self.row.len() as u64;
+        Ok(())
     }
 
     /// Append one event row. Events must belong to a lane passed at
@@ -108,42 +153,37 @@ impl<W: io::Write> ChromeWriter<W> {
                 format!("lane {} not declared to ChromeWriter", ev.lane.name()),
             )
         })?;
-        let name = ev.phase.name();
-        let ts = us(ev.start.nanos());
-        let args = args_of(ev);
-        self.row.clear();
-        if ev.phase == Phase::PowerSample {
-            // Counter event: Perfetto keys counter tracks by (pid, name),
-            // so the lane's own name doubles as the counter name.
-            let _ = write!(
-                self.row,
-                ",\n{{\"ph\":\"C\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                 \"name\":\"{}\",\"args\":{args}}}",
-                ev.lane.name()
-            );
+        // Counter events: Perfetto keys counter tracks by (pid, name), so
+        // the lane's own name doubles as the counter name.
+        let (ph, name) = if ev.phase == Phase::PowerSample {
+            (b'C', self.names[tid].as_str())
+        } else if ev.end.is_some() {
+            (b'X', ev.phase.name())
         } else {
-            match ev.end {
-                Some(end) => {
-                    let dur = us(end.nanos() - ev.start.nanos());
-                    let _ = write!(
-                        self.row,
-                        ",\n{{\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"dur\":{dur},\"name\":\"{name}\",\"args\":{args}}}"
-                    );
-                }
-                None => {
-                    let _ = write!(
-                        self.row,
-                        ",\n{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"ts\":{ts},\
-                         \"s\":\"t\",\"name\":\"{name}\",\"args\":{args}}}"
-                    );
-                }
+            (b'i', ev.phase.name())
+        };
+        let row = &mut self.row;
+        row.clear();
+        row.extend_from_slice(b",\n{\"ph\":\"");
+        row.push(ph);
+        row.extend_from_slice(b"\",\"pid\":0,\"tid\":");
+        push_u64(row, tid as u64);
+        row.extend_from_slice(b",\"ts\":");
+        push_us(row, ev.start.nanos());
+        match (ph, ev.end) {
+            (b'X', Some(end)) => {
+                row.extend_from_slice(b",\"dur\":");
+                push_us(row, end.nanos() - ev.start.nanos());
             }
+            (b'i', _) => row.extend_from_slice(b",\"s\":\"t\""),
+            _ => {}
         }
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.row.len() as u64);
-        self.sink.write_all(self.row.as_bytes())?;
-        self.stats.bytes += self.row.len() as u64;
-        Ok(())
+        row.extend_from_slice(b",\"name\":\"");
+        row.extend_from_slice(name.as_bytes());
+        row.extend_from_slice(b"\",\"args\":");
+        push_args(row, ev);
+        row.push(b'}');
+        self.flush_row()
     }
 
     /// Append a `sampling` metadata row carrying the tail-sampling
@@ -152,7 +192,7 @@ impl<W: io::Write> ChromeWriter<W> {
     /// unsampled exports must stay byte-identical.
     pub fn sampling(&mut self, stats: &crate::sample::SampleStats) -> io::Result<()> {
         self.row.clear();
-        let _ = write!(
+        write!(
             self.row,
             ",\n{{\"ph\":\"M\",\"pid\":0,\"tid\":0,\"name\":\"sampling\",\"args\":{{\
              \"spec\":\"{}\",\"requests_seen\":{},\"requests_kept\":{},\
@@ -172,11 +212,8 @@ impl<W: io::Write> ChromeWriter<W> {
             stats.unterminated,
             stats.events_seen,
             stats.events_kept,
-        );
-        self.stats.peak_buffered = self.stats.peak_buffered.max(self.row.len() as u64);
-        self.sink.write_all(self.row.as_bytes())?;
-        self.stats.bytes += self.row.len() as u64;
-        Ok(())
+        )?;
+        self.flush_row()
     }
 
     /// Close the JSON document, flush, and return the write ledger.
