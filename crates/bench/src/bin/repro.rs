@@ -82,21 +82,40 @@ impl EnergyJson {
     }
 }
 
-/// Comma-separated floats (`0.9,0.75,0.5`), each inside `range` (so
-/// never NaN or infinite).
+/// Accepted values of the timing flags `--slo-ms` and `--sample-ms`:
+/// from the virtual clock's 1 ns resolution up to about eleven days, so
+/// a run can neither get a zero interval nor overflow the clock.
+const TIMING_MS: RangeInclusive<f64> = 1e-6..=1e9;
+
+/// Accepted values of the gate thresholds `--abs-ms`, `--rel-pct` and
+/// `--tol-pct`.
+const THRESHOLD: RangeInclusive<f64> = 0.0..=1e9;
+
+/// One number inside `range` (so never NaN or infinite).
+fn parse_bounded(s: &str, range: &RangeInclusive<f64>) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|v| range.contains(v))
+}
+
+/// Comma-separated numbers (`0.9,0.75,0.5`), each inside `range`.
 fn parse_f64_list(s: &str, range: &RangeInclusive<f64>) -> Option<Vec<f64>> {
-    let vals: Vec<f64> = s.split(',').map(|v| v.parse::<f64>()).collect::<Result<_, _>>().ok()?;
-    vals.iter().all(|v| range.contains(v)).then_some(vals)
+    s.split(',').map(|v| parse_bounded(v, range)).collect()
 }
 
 /// A flag value the parse boundary rejected: one line, exit 2.
-fn bad_value(flag: &str, value: &str, range: &RangeInclusive<f64>) -> ExitCode {
-    eprintln!(
-        "bad {flag} '{value}': expected comma-separated numbers in [{}, {}]",
-        range.start(),
-        range.end()
-    );
+fn bad_value(flag: &str, value: &str, what: &str, range: &RangeInclusive<f64>) -> ExitCode {
+    eprintln!("bad {flag} '{value}': expected {what} in [{}, {}]", range.start(), range.end());
     ExitCode::from(2)
+}
+
+/// The value of numeric flag `flag`, inside `range`. A missing value
+/// prints the usage and a bad one a [`bad_value`] line; both exit 2.
+fn next_bounded<'a>(
+    it: &mut impl Iterator<Item = &'a String>,
+    flag: &str,
+    range: &RangeInclusive<f64>,
+) -> Result<f64, ExitCode> {
+    let Some(v) = it.next() else { return Err(usage()) };
+    parse_bounded(v, range).ok_or_else(|| bad_value(flag, v, "a number", range))
 }
 
 fn usage() -> ExitCode {
@@ -200,14 +219,10 @@ fn main() -> ExitCode {
                 let Some(v) = it.next() else { return usage() };
                 csv_dir = Some(v.clone());
             }
-            "--slo-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --slo-ms '{v}'");
-                    return usage();
-                };
-                slo_ms = ms;
-            }
+            "--slo-ms" => match next_bounded(&mut it, a, &TIMING_MS) {
+                Ok(x) => slo_ms = x,
+                Err(code) => return code,
+            },
             "--policy" => {
                 let Some(v) = it.next() else { return usage() };
                 let Some(p) = ncsw_serve::DispatchPolicy::parse(v) else {
@@ -224,14 +239,10 @@ fn main() -> ExitCode {
                 let Some(v) = it.next() else { return usage() };
                 metrics_csv = Some(v.clone());
             }
-            "--sample-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --sample-ms '{v}'");
-                    return usage();
-                };
-                sample_ms = ms;
-            }
+            "--sample-ms" => match next_bounded(&mut it, a, &TIMING_MS) {
+                Ok(x) => sample_ms = x,
+                Err(code) => return code,
+            },
             "--flame" => {
                 let Some(v) = it.next() else { return usage() };
                 flame_path = Some(v.clone());
@@ -240,30 +251,18 @@ fn main() -> ExitCode {
                 let Some(v) = it.next() else { return usage() };
                 flame_energy_path = Some(v.clone());
             }
-            "--abs-ms" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(ms) = v.parse::<f64>() else {
-                    eprintln!("bad --abs-ms '{v}'");
-                    return usage();
-                };
-                abs_ms = ms;
-            }
-            "--rel-pct" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(p) = v.parse::<f64>() else {
-                    eprintln!("bad --rel-pct '{v}'");
-                    return usage();
-                };
-                rel_pct = p;
-            }
-            "--tol-pct" => {
-                let Some(v) = it.next() else { return usage() };
-                let Ok(p) = v.parse::<f64>() else {
-                    eprintln!("bad --tol-pct '{v}'");
-                    return usage();
-                };
-                tol_pct = Some(p);
-            }
+            "--abs-ms" => match next_bounded(&mut it, a, &THRESHOLD) {
+                Ok(x) => abs_ms = x,
+                Err(code) => return code,
+            },
+            "--rel-pct" => match next_bounded(&mut it, a, &THRESHOLD) {
+                Ok(x) => rel_pct = x,
+                Err(code) => return code,
+            },
+            "--tol-pct" => match next_bounded(&mut it, a, &THRESHOLD) {
+                Ok(x) => tol_pct = Some(x),
+                Err(code) => return code,
+            },
             "--components" => {
                 let Some(v) = it.next() else { return usage() };
                 let mut parsed = Vec::new();
@@ -281,7 +280,7 @@ fn main() -> ExitCode {
                 let range = ncsw::ScalePlan::FACTOR_RANGE;
                 match parse_f64_list(v, &range) {
                     Some(l) => whatif_factors = Some(l),
-                    None => return bad_value("--factors", v, &range),
+                    None => return bad_value("--factors", v, "comma-separated numbers", &range),
                 }
             }
             "--loads" => {
@@ -289,7 +288,7 @@ fn main() -> ExitCode {
                 let range = vpu_bench::whatif_bench::LOAD_RANGE;
                 match parse_f64_list(v, &range) {
                     Some(l) => whatif_loads = Some(l),
-                    None => return bad_value("--loads", v, &range),
+                    None => return bad_value("--loads", v, "comma-separated numbers", &range),
                 }
             }
             "--prof" => prof_on = true,
@@ -825,7 +824,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn f64_lists_reject_non_finite_and_out_of_range_values() {
+    fn numbers_reject_non_finite_and_out_of_range_values() {
         let factors = ncsw::ScalePlan::FACTOR_RANGE;
         assert_eq!(parse_f64_list("0.9,0.75,0.5", &factors), Some(vec![0.9, 0.75, 0.5]));
         assert_eq!(parse_f64_list("0.01,100", &factors), Some(vec![0.01, 100.0]));
@@ -838,6 +837,16 @@ mod tests {
         assert!(parse_f64_list("0.55,0.85", &loads).is_some());
         for bad in ["inf", "NaN", "1e-300", "0", "11"] {
             assert_eq!(parse_f64_list(bad, &loads), None, "--loads {bad} accepted");
+        }
+        // The single-number flags: timings down to the 1 ns clock
+        // resolution, thresholds down to zero.
+        assert_eq!(parse_bounded("0.000001", &TIMING_MS), Some(1e-6));
+        for bad in ["0", "-1", "NaN", "inf", "1e-300", "1e300", "", "x"] {
+            assert_eq!(parse_bounded(bad, &TIMING_MS), None, "timing {bad} accepted");
+        }
+        assert_eq!(parse_bounded("0", &THRESHOLD), Some(0.0));
+        for bad in ["-0.5", "NaN", "inf", "-inf", "1e300"] {
+            assert_eq!(parse_bounded(bad, &THRESHOLD), None, "threshold {bad} accepted");
         }
     }
 }

@@ -13,12 +13,10 @@
 //! duration. Acquisition returns the busy [`Span`]; spans are collected in
 //! a [`TraceLog`] that renders the paper's Fig.-4-style execution timeline.
 
-pub mod queue;
 pub mod resource;
 pub mod time;
 pub mod trace;
 
-pub use queue::{EventQueue, QueueStats};
 pub use resource::{Burst, FifoResource, PoolBurst, ServerPool};
 pub use time::{Duration, SimTime};
 pub use trace::{Span, TraceLog};

@@ -44,9 +44,9 @@ use desim::{Duration, SimTime};
 use ncsw::service::{FailureKind, ServeError, ServiceHook};
 use ncsw_ctrl::{PrimeContext, ScaleDecision, ScaleSignals, ScalingPolicy};
 use ncsw_obs::{
-    prof, BatchObs, CounterId, Ctx, EnergyMeter, Event, EventLog, FlightConfig, FlightRecorder,
-    GaugeId, HistogramId, Lane, NullRecorder, Phase, ProfiledRecorder, Recorder, Registry,
-    SamplePolicy, SampleStats, SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
+    prof, BatchObs, Ctx, EnergyMeter, Event, EventLog, FlightConfig, FlightRecorder, Lane,
+    NullRecorder, Phase, ProfiledRecorder, Recorder, Registry, SamplePolicy, SampleStats,
+    SamplingRecorder, Tee, TimeSeries, TimeSeriesBuilder,
 };
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -539,77 +539,46 @@ pub struct ServeObservation {
     pub flight: FlightRecorder,
 }
 
-/// Registered metric handles of one observed run.
-struct Meters {
-    reg: Registry,
-    arrived: CounterId,
-    completed: CounterId,
-    rejected: CounterId,
-    evicted: CounterId,
-    deadline: CounterId,
-    exhausted: CounterId,
-    batches: CounterId,
-    faults: CounterId,
-    retries: CounterId,
-    circuit_opens: CounterId,
-    depth_peak: GaugeId,
-    evicted_wait: HistogramId,
-    latency: HistogramId,
-    formation: HistogramId,
-    queue_wait: HistogramId,
-    service: HistogramId,
-    peak: usize,
-}
-
-impl Meters {
-    fn new() -> Meters {
-        let mut reg = Registry::new();
-        Meters {
-            arrived: reg.counter("requests.arrived"),
-            completed: reg.counter("requests.completed"),
-            rejected: reg.counter("requests.shed.rejected"),
-            evicted: reg.counter("requests.shed.evicted"),
-            deadline: reg.counter("requests.shed.deadline"),
-            exhausted: reg.counter("requests.shed.retries_exhausted"),
-            batches: reg.counter("batches.dispatched"),
-            faults: reg.counter("faults.injected"),
-            retries: reg.counter("faults.retries"),
-            circuit_opens: reg.counter("faults.circuit_opens"),
-            depth_peak: reg.gauge("queue.depth.peak"),
-            evicted_wait: reg.histogram("shed.evicted.wait"),
-            latency: reg.histogram("latency.e2e"),
-            formation: reg.histogram("latency.formation_wait"),
-            queue_wait: reg.histogram("latency.queue_wait"),
-            service: reg.histogram("latency.service"),
-            peak: 0,
-            reg,
+/// The metric registry of an observed run, derived from its finished
+/// outcome. Every counter is a field of the outcome and histograms are
+/// order-independent, so this equals recording each outcome as it
+/// happened; only the queue's high-water mark (`depth_peak`) has to be
+/// tracked in the loop.
+fn registry_of(outcome: &ServeOutcome, depth_peak: usize) -> Registry {
+    let mut reg = Registry::new();
+    let shed = |cause| outcome.shed.iter().filter(move |s| s.cause == cause);
+    let counters = [
+        ("requests.arrived", outcome.generated as u64),
+        ("requests.completed", outcome.completed.len() as u64),
+        ("requests.shed.rejected", shed(ShedCause::Rejected).count() as u64),
+        ("requests.shed.evicted", shed(ShedCause::Evicted).count() as u64),
+        ("requests.shed.deadline", shed(ShedCause::Deadline).count() as u64),
+        ("requests.shed.retries_exhausted", shed(ShedCause::RetriesExhausted).count() as u64),
+        ("batches.dispatched", outcome.workers.iter().map(|w| w.batches).sum()),
+        ("faults.injected", outcome.faults.injected),
+        ("faults.retries", outcome.faults.retries),
+        ("faults.circuit_opens", outcome.faults.outages.len() as u64),
+    ];
+    for (name, v) in counters {
+        let id = reg.counter(name);
+        reg.add(id, v);
+    }
+    let peak = reg.gauge("queue.depth.peak");
+    reg.set(peak, depth_peak as f64);
+    let evicted_wait = reg.histogram("shed.evicted.wait");
+    for r in shed(ShedCause::Evicted) {
+        reg.observe(evicted_wait, r.wait());
+    }
+    let latency =
+        ["latency.e2e", "latency.formation_wait", "latency.queue_wait", "latency.service"]
+            .map(|name| reg.histogram(name));
+    for r in &outcome.completed {
+        let parts = [r.latency(), r.formation_wait(), r.queue_wait(), r.service_time()];
+        for (&id, d) in latency.iter().zip(parts) {
+            reg.observe(id, d);
         }
     }
-
-    fn shed(&mut self, cause: ShedCause, wait: Duration) {
-        match cause {
-            ShedCause::Rejected => self.reg.inc(self.rejected),
-            ShedCause::Deadline => self.reg.inc(self.deadline),
-            ShedCause::RetriesExhausted => self.reg.inc(self.exhausted),
-            ShedCause::Evicted => {
-                self.reg.inc(self.evicted);
-                self.reg.observe(self.evicted_wait, wait);
-            }
-        }
-    }
-
-    fn complete(&mut self, r: &RequestRecord) {
-        self.reg.inc(self.completed);
-        self.reg.observe(self.latency, r.latency());
-        self.reg.observe(self.formation, r.formation_wait());
-        self.reg.observe(self.queue_wait, r.queue_wait());
-        self.reg.observe(self.service, r.service_time());
-    }
-
-    fn finish(mut self) -> Registry {
-        self.reg.set(self.depth_peak, self.peak as f64);
-        self.reg
-    }
+    reg
 }
 
 /// Drives the [`TimeSeriesBuilder`] from the serving loop's in-order
@@ -649,7 +618,134 @@ impl SamplerDrive {
 /// Live observability state threaded through [`serve_core`].
 struct ObsAccum {
     sampler: SamplerDrive,
-    meters: Meters,
+    /// Queue high-water mark, the one metric the outcome cannot give.
+    depth_peak: usize,
+}
+
+/// Every sink a request outcome or a burned device span is reported
+/// to: the outcome vectors and energy ledger, the trace recorder, the
+/// series sampler (observed runs) and the controller's outcome buckets
+/// (autoscaled runs). Each kind of outcome has one method here, so the
+/// serving loop reports it once.
+struct Sinks<'a, 'c> {
+    rec: &'a mut dyn Recorder,
+    obs: Option<&'a mut ObsAccum>,
+    ctrl: Option<&'a mut CtrlState<'c>>,
+    meter: EnergyMeter,
+    completed: Vec<RequestRecord>,
+    shed: Vec<ShedRecord>,
+}
+
+impl Sinks<'_, '_> {
+    /// Trace `ev` when the recorder is on (the per-request hot path
+    /// guards on [`Recorder::enabled`] itself, before building events).
+    fn record(&mut self, ev: Event) {
+        if self.rec.enabled() {
+            self.rec.record(ev);
+        }
+    }
+
+    /// Worker `w`'s circuit opened (or let traffic back) at `at`.
+    fn circuit(&mut self, w: usize, open: bool, at: SimTime, ctx: Ctx) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.sampler.b.circuit_event(w, if open { 1.0 } else { 0.0 }, at);
+        }
+        let phase = if open { Phase::CircuitOpen } else { Phase::CircuitClose };
+        self.record(Event::instant(phase, Lane::Worker(w as u32), at, ctx));
+    }
+
+    /// Request `id` arrived at `at`, finding `depth` requests queued.
+    fn arrive(&mut self, id: u64, at: SimTime, depth: usize) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.sampler.advance(at, depth);
+            o.sampler.b.on_arrival();
+        }
+        if let Some(c) = self.ctrl.as_deref_mut() {
+            c.cur.arrived += 1;
+        }
+        if self.rec.enabled() {
+            self.rec.record(Event::instant(Phase::Arrive, Lane::Server, at, Ctx::request(id)));
+        }
+    }
+
+    /// A request's result reached the client; `batch` served it.
+    fn complete(&mut self, r: RequestRecord, batch: u64, slo: Duration) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.sampler.complete_later(r.completed, r.latency());
+        }
+        if let Some(c) = self.ctrl.as_deref_mut() {
+            c.outcome(r.completed, if r.latency() > slo { OUTCOME_MISS } else { OUTCOME_GOOD });
+        }
+        if self.rec.enabled() {
+            let ctx = Ctx::request(r.id).with_batch(batch).with_worker(r.worker as u32);
+            self.rec.record(Event::instant(Phase::Complete, Lane::Server, r.completed, ctx));
+        }
+        self.completed.push(r);
+    }
+
+    /// A request was shed. The cause fixes the trace shape: a refused
+    /// arrival is an instant on the server lane; an eviction or an
+    /// exhausted retry is a queue-lane span from arrival — its length
+    /// is the wait burned — tagged with the failed `batch`, if any.
+    fn shed(&mut self, r: ShedRecord, batch: Option<u64>) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.sampler.b.on_shed();
+        }
+        if let Some(c) = self.ctrl.as_deref_mut() {
+            c.outcome(r.shed_at, OUTCOME_SHED);
+        }
+        let ctx = Ctx::request(r.id);
+        let ev = match r.cause {
+            ShedCause::Rejected | ShedCause::Deadline => {
+                Event::instant(Phase::Shed, Lane::Server, r.shed_at, ctx)
+            }
+            ShedCause::Evicted | ShedCause::RetriesExhausted => {
+                let ctx = batch.map_or(ctx, |b| ctx.with_batch(b));
+                Event::span(Phase::Shed, Lane::Queue, r.arrival, r.shed_at, ctx)
+            }
+        };
+        self.record(ev.with_cause(r.cause));
+        self.shed.push(r);
+    }
+
+    /// Member `m` of `batch` failed at `at`: retry it no earlier than
+    /// `earliest`, returning the request to re-enqueue, or shed it once
+    /// it is out of attempts.
+    fn retry_or_shed(
+        &mut self,
+        m: &Pending,
+        at: SimTime,
+        earliest: SimTime,
+        batch: u64,
+        max_attempts: u32,
+        faults: &mut FaultStats,
+    ) -> Option<Pending> {
+        let attempts = m.attempts + 1;
+        if attempts >= max_attempts {
+            faults.exhausted += 1;
+            let cause = ShedCause::RetriesExhausted;
+            self.shed(ShedRecord { id: m.id, arrival: m.arrival, shed_at: at, cause }, Some(batch));
+            return None;
+        }
+        faults.retries += 1;
+        let ctx = Ctx::request(m.id).with_batch(batch);
+        self.record(Event::instant(Phase::RetryAttempt, Lane::Server, at, ctx));
+        Some(Pending { id: m.id, arrival: m.arrival, attempts, earliest })
+    }
+
+    /// Bill `from..to`, a span worker `w` really burned on `batch`, to
+    /// the energy ledger and the series' power columns. Returns the
+    /// busy energy charged, in pJ (zero when earlier charges already
+    /// cover the span).
+    fn charge(&mut self, w: usize, from: SimTime, to: SimTime, batch: u64, wasted: bool) -> u64 {
+        let Some(sp) = self.meter.charge(w as u32, from, to, batch, wasted) else {
+            return 0;
+        };
+        if let Some(o) = self.obs.as_deref_mut() {
+            o.sampler.b.on_energy_span(w, sp.start, sp.end);
+        }
+        self.meter.profiles()[w].energy_pj(sp.end.nanos() - sp.start.nanos(), 0)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -880,16 +976,13 @@ impl<'a> CtrlState<'a> {
 /// outcome bucket, ask the policy, and actuate its decision. Dispatch
 /// is synchronous, so at drain time every worker's `busy_until` is
 /// final — the power-gate instant is computable eagerly.
-#[allow(clippy::too_many_arguments)]
 fn ctrl_tick(
     ctrl: &mut CtrlState,
     workers: &mut [Box<dyn ServiceHook>],
     cfg: &ServeConfig,
     fo: &mut FailoverState,
-    meter: &mut EnergyMeter,
     queue_depth: usize,
-    rec: &mut dyn Recorder,
-    obs: &mut Option<&mut ObsAccum>,
+    out: &mut Sinks,
 ) {
     let tk = ctrl.next_tick;
     ctrl.next_tick = tk + ctrl.cfg.tick;
@@ -932,7 +1025,7 @@ fn ctrl_tick(
     ctrl.cur = TickBucket::default();
 
     let signals = ctrl.signals(tk, queue_depth, fo);
-    let wctx = |w: usize| Ctx { request_id: None, batch_id: None, worker: Some(w as u32) };
+    let wctx = |w: usize| Ctx::NONE.with_worker(w as u32);
     match ctrl.policy.decide(&signals) {
         ScaleDecision::Hold => {}
         ScaleDecision::Down(k) => {
@@ -954,23 +1047,17 @@ fn ctrl_tick(
                 let gate_at = SimTime::max_of(tk, workers[w].busy_until());
                 ctrl.state[w] = ScaleState::Gated { since: gate_at };
                 fo.gated[w] = true;
-                meter.power_off(w as u32, gate_at);
+                out.meter.power_off(w as u32, gate_at);
                 ctrl.stats.scale_downs += 1;
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Drain, Lane::Worker(w as u32), tk, wctx(w)));
-                    rec.record(Event::instant(
-                        Phase::ScaleDown,
-                        Lane::Worker(w as u32),
-                        gate_at,
-                        wctx(w),
-                    ));
-                }
-                if let Some(o) = obs.as_deref_mut() {
+                let lane = Lane::Worker(w as u32);
+                out.record(Event::instant(Phase::Drain, lane, tk, wctx(w)));
+                out.record(Event::instant(Phase::ScaleDown, lane, gate_at, wctx(w)));
+                if let Some(o) = out.obs.as_deref_mut() {
                     o.sampler.b.power_event(w, gate_at, false);
                 }
             }
             if !victims.is_empty() {
-                if let Some(o) = obs.as_deref_mut() {
+                if let Some(o) = out.obs.as_deref_mut() {
                     o.sampler.b.scale_event(tk, -(victims.len() as i64), 1);
                 }
                 fo.recompute_degradation(workers, cfg);
@@ -999,27 +1086,25 @@ fn ctrl_tick(
                 fo.not_ready[w] = Some(ready_at);
                 fo.ready_floor[w] = ready_at;
                 // Provisioning draws idle power from the decision on.
-                meter.power_on(w as u32, tk);
+                out.meter.power_on(w as u32, tk);
                 ctrl.stats.scale_ups += 1;
                 if signals.open_circuits > 0 {
                     ctrl.stats.replacements += 1;
                 }
-                if rec.enabled() {
-                    rec.record(Event::span(
-                        Phase::ScaleUp,
-                        Lane::Worker(w as u32),
-                        tk,
-                        ready_at,
-                        wctx(w),
-                    ));
-                }
-                if let Some(o) = obs.as_deref_mut() {
+                out.record(Event::span(
+                    Phase::ScaleUp,
+                    Lane::Worker(w as u32),
+                    tk,
+                    ready_at,
+                    wctx(w),
+                ));
+                if let Some(o) = out.obs.as_deref_mut() {
                     o.sampler.b.power_event(w, tk, true);
                     o.sampler.b.scale_event(ready_at, 1, 0);
                 }
             }
             if !picks.is_empty() {
-                if let Some(o) = obs.as_deref_mut() {
+                if let Some(o) = out.obs.as_deref_mut() {
                     o.sampler.b.scale_event(tk, 0, 1);
                 }
                 fo.recompute_degradation(workers, cfg);
@@ -1424,7 +1509,7 @@ fn observed_core(
     }
     let mut obs = ObsAccum {
         sampler: SamplerDrive { b: builder, pending: BinaryHeap::new() },
-        meters: Meters::new(),
+        depth_peak: 0,
     };
     // Recorder stack, all passive: the base sink is either the full
     // event log or a tail-sampling recorder, teed into the always-on
@@ -1458,7 +1543,7 @@ fn observed_core(
         None => (full_log.unwrap_or_default(), None),
     };
     let series = obs.sampler.finish(outcome.end());
-    let mut registry = obs.meters.finish();
+    let mut registry = registry_of(&outcome, obs.depth_peak);
     // Power lanes + energy counters come straight off the run's ledger,
     // so the exported trace alone re-integrates the exact same
     // picojoule totals the server reports.
@@ -1474,7 +1559,7 @@ fn serve_core(
     process: &ArrivalProcess,
     n: usize,
     rec: &mut dyn Recorder,
-    mut obs: Option<&mut ObsAccum>,
+    obs: Option<&mut ObsAccum>,
     mut ctrl: Option<&mut CtrlState>,
 ) -> ServeOutcome {
     assert!(!workers.is_empty(), "need at least one worker");
@@ -1500,11 +1585,18 @@ fn serve_core(
         })
         .collect();
 
-    // Passive energy ledger: one power profile per worker, charged for
-    // every span a device actually burns (served batches, timed-out
-    // work, fail-fast probes). Charges are clipped, so a probe span
-    // overlapping the next dispatch never double-counts.
-    let mut meter = EnergyMeter::new(workers.iter().map(|w| w.energy_profile()).collect(), epoch);
+    let mut out = Sinks {
+        rec,
+        obs,
+        ctrl,
+        // Passive energy ledger: one power profile per worker, charged
+        // for every span a device actually burns (served batches,
+        // timed-out work, fail-fast probes). Charges are clipped, so a
+        // probe span overlapping the next dispatch never double-counts.
+        meter: EnergyMeter::new(workers.iter().map(|w| w.energy_profile()).collect(), epoch),
+        completed: Vec::with_capacity(n),
+        shed: Vec::new(),
+    };
 
     let mut fo = FailoverState::new(workers, cfg);
     // Jitter stream: created eagerly (pure), drawn from only on failure,
@@ -1512,25 +1604,9 @@ fn serve_core(
     let mut jitter_rng = vpu_num::rng::stream(cfg.seed, "serve-backoff");
 
     let mut queue: VecDeque<Pending> = VecDeque::new();
-    let mut completed: Vec<RequestRecord> = Vec::with_capacity(n);
-    let mut shed: Vec<ShedRecord> = Vec::new();
     let mut next = 0usize; // next arrival index
     let mut rr_cursor = 0usize;
     let mut batch_seq = 0u64;
-
-    let record_shed = |r: ShedRecord,
-                       obs: &mut Option<&mut ObsAccum>,
-                       ctrl: &mut Option<&mut CtrlState>,
-                       shed: &mut Vec<ShedRecord>| {
-        if let Some(o) = obs.as_deref_mut() {
-            o.sampler.b.on_shed();
-            o.meters.shed(r.cause, r.wait());
-        }
-        if let Some(c) = ctrl.as_deref_mut() {
-            c.outcome(r.shed_at, OUTCOME_SHED);
-        }
-        shed.push(r);
-    };
 
     // Host-side self-observability: every loop iteration handles
     // exactly one event (arrival, dispatch or controller tick), so the
@@ -1568,17 +1644,23 @@ fn serve_core(
         // after it (ties go to the tick), then the plan is recomputed
         // against the post-tick fleet. Once the run is out of work the
         // controller stops with it.
-        if let Some(c) = ctrl.as_deref_mut() {
+        // The controller is lent out of `out` for the tick, which
+        // reports through the other sinks.
+        if let Some(c) = out.ctrl.take() {
             let next_event = match (arrivals.get(next), plan) {
                 (Some(&at), Some((_, t))) => Some(at.min(t)),
                 (Some(&at), None) => Some(at),
                 (None, Some((_, t))) => Some(t),
                 (None, None) => None,
             };
-            if next_event.is_some_and(|e| c.next_tick <= e) {
+            let due = next_event.is_some_and(|e| c.next_tick <= e);
+            if due {
                 let _sc = prof::scope("serve.ctrl_tick");
                 sim_events += 1;
-                ctrl_tick(c, workers, cfg, &mut fo, &mut meter, queue.len(), rec, &mut obs);
+                ctrl_tick(c, workers, cfg, &mut fo, queue.len(), &mut out);
+            }
+            out.ctrl = Some(c);
+            if due {
                 continue;
             }
         }
@@ -1591,58 +1673,19 @@ fn serve_core(
                 sim_events += 1;
                 let id = next as u64;
                 next += 1;
-                if let Some(o) = obs.as_deref_mut() {
-                    o.sampler.advance(at, queue.len());
-                    o.sampler.b.on_arrival();
-                    o.meters.reg.inc(o.meters.arrived);
-                }
-                if let Some(c) = ctrl.as_deref_mut() {
-                    c.cur.arrived += 1;
-                }
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Arrive, Lane::Server, at, Ctx::request(id)));
-                }
+                out.arrive(id, at, queue.len());
                 if queue.len() >= fo.eff_capacity {
                     match cfg.shed {
                         ShedPolicy::Reject | ShedPolicy::DeadlineAware => {
-                            let r = ShedRecord {
-                                id,
-                                arrival: at,
-                                shed_at: at,
-                                cause: ShedCause::Rejected,
-                            };
-                            record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                            if rec.enabled() {
-                                rec.record(
-                                    Event::instant(Phase::Shed, Lane::Server, at, Ctx::request(id))
-                                        .with_cause(ShedCause::Rejected),
-                                );
-                            }
+                            let cause = ShedCause::Rejected;
+                            out.shed(ShedRecord { id, arrival: at, shed_at: at, cause }, None);
                             continue;
                         }
                         ShedPolicy::DropOldest => {
                             let old = queue.pop_front().unwrap();
-                            let r = ShedRecord {
-                                id: old.id,
-                                arrival: old.arrival,
-                                shed_at: at,
-                                cause: ShedCause::Evicted,
-                            };
-                            record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                            if rec.enabled() {
-                                // Span length = queue wait burned before
-                                // the eviction.
-                                rec.record(
-                                    Event::span(
-                                        Phase::Shed,
-                                        Lane::Queue,
-                                        old.arrival,
-                                        at,
-                                        Ctx::request(old.id),
-                                    )
-                                    .with_cause(ShedCause::Evicted),
-                                );
-                            }
+                            let (old_id, arrival) = (old.id, old.arrival);
+                            let cause = ShedCause::Evicted;
+                            out.shed(ShedRecord { id: old_id, arrival, shed_at: at, cause }, None);
                         }
                     }
                 }
@@ -1654,25 +1697,19 @@ fn serve_core(
                         None => true,
                     };
                     if hopeless {
-                        let r =
-                            ShedRecord { id, arrival: at, shed_at: at, cause: ShedCause::Deadline };
-                        record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                        if rec.enabled() {
-                            rec.record(
-                                Event::instant(Phase::Shed, Lane::Server, at, Ctx::request(id))
-                                    .with_cause(ShedCause::Deadline),
-                            );
-                        }
+                        let cause = ShedCause::Deadline;
+                        out.shed(ShedRecord { id, arrival: at, shed_at: at, cause }, None);
                         continue;
                     }
                 }
                 queue.push_back(Pending { id, arrival: at, attempts: 0, earliest: at });
-                if let Some(o) = obs.as_deref_mut() {
-                    o.meters.peak = o.meters.peak.max(queue.len());
+                if let Some(o) = out.obs.as_deref_mut() {
+                    o.depth_peak = o.depth_peak.max(queue.len());
                 }
-                if rec.enabled() {
-                    rec.record(Event::instant(Phase::Admit, Lane::Server, at, Ctx::request(id)));
-                    rec.record(Event::instant(Phase::Enqueue, Lane::Queue, at, Ctx::request(id)));
+                if out.rec.enabled() {
+                    let ctx = Ctx::request(id);
+                    out.rec.record(Event::instant(Phase::Admit, Lane::Server, at, ctx));
+                    out.rec.record(Event::instant(Phase::Enqueue, Lane::Queue, at, ctx));
                 }
             }
             (_, Some((w, t))) => {
@@ -1696,17 +1733,7 @@ fn serve_core(
                         o.until = Some(t);
                     }
                     fo.recompute_degradation(workers, cfg);
-                    if let Some(o) = obs.as_deref_mut() {
-                        o.sampler.b.circuit_event(w, 0.0, t);
-                    }
-                    if rec.enabled() {
-                        rec.record(Event::instant(
-                            Phase::CircuitClose,
-                            Lane::Worker(w as u32),
-                            t,
-                            Ctx { request_id: None, batch_id: None, worker: Some(w as u32) },
-                        ));
-                    }
+                    out.circuit(w, false, t, Ctx::NONE.with_worker(w as u32));
                 }
                 // Quarantine expiry: this dispatch is the probation
                 // probe. The worker re-enters the pool; its next
@@ -1718,14 +1745,8 @@ fn serve_core(
                     fo.probation[w] = true;
                     fo.gray.probations += 1;
                     fo.recompute_degradation(workers, cfg);
-                    if rec.enabled() {
-                        rec.record(Event::instant(
-                            Phase::Probation,
-                            Lane::Worker(w as u32),
-                            t,
-                            Ctx { request_id: None, batch_id: None, worker: Some(w as u32) },
-                        ));
-                    }
+                    let ctx = Ctx::NONE.with_worker(w as u32);
+                    out.record(Event::instant(Phase::Probation, Lane::Worker(w as u32), t, ctx));
                 }
                 // Replanning can move the dispatch instant *earlier* than a
                 // previously admitted arrival (e.g. cost-aware estimates
@@ -1742,26 +1763,32 @@ fn serve_core(
                 }
                 debug_assert!(eligible >= 1, "batch closed before its oldest member was ready");
                 let size = clamp_batch(eligible, workers[w].as_ref());
-                if let Some(o) = obs.as_deref_mut() {
+                if let Some(o) = out.obs.as_deref_mut() {
                     o.sampler.advance(t, queue.len());
                 }
                 let members: Vec<Pending> = queue.drain(..size).collect();
                 let bid = batch_seq;
                 batch_seq += 1;
-                let ids: Vec<u64> =
-                    if rec.enabled() { members.iter().map(|m| m.id).collect() } else { Vec::new() };
-                if rec.enabled() {
+                let mut ids = Vec::new();
+                if out.rec.enabled() {
+                    ids.extend(members.iter().map(|m| m.id));
                     for m in &members {
                         let ctx = Ctx::request(m.id).with_batch(bid).with_worker(w as u32);
-                        rec.record(Event::instant(Phase::BatchClose, Lane::Queue, t, ctx));
-                        rec.record(Event::instant(Phase::Dispatch, Lane::Worker(w as u32), t, ctx));
+                        let lane = Lane::Worker(w as u32);
+                        out.rec.record(Event::instant(Phase::BatchClose, Lane::Queue, t, ctx));
+                        out.rec.record(Event::instant(Phase::Dispatch, lane, t, ctx));
                     }
                 }
                 let timeout_at = saturating_add(t, cfg.robust.dispatch_timeout);
                 let run = workers[w].try_serve_obs(
                     size,
                     t,
-                    &mut BatchObs { rec: &mut *rec, batch_id: bid, worker: w as u32, ids: &ids },
+                    &mut BatchObs {
+                        rec: &mut *out.rec,
+                        batch_id: bid,
+                        worker: w as u32,
+                        ids: &ids,
+                    },
                 );
                 // Gray-failure defenses on a successful primary: hedge
                 // a span that blew past the learned quantile delay onto
@@ -1798,100 +1825,52 @@ fn serve_core(
                         });
                         if let (Some(hat), Some(h)) = (hedge_at, pick) {
                             fo.gray.hedges += 1;
-                            let hctx = Ctx {
-                                request_id: None,
-                                batch_id: Some(bid),
-                                worker: Some(h as u32),
-                            };
+                            let hctx = Ctx::NONE.with_batch(bid).with_worker(h as u32);
+                            let hlane = Lane::Worker(h as u32);
                             let hres = workers[h].try_serve_obs(
                                 size,
                                 hat,
                                 &mut BatchObs {
-                                    rec: &mut *rec,
+                                    rec: &mut *out.rec,
                                     batch_id: bid,
                                     worker: h as u32,
                                     ids: &ids,
                                 },
                             );
+                            let hend = match &hres {
+                                Ok(hrun) => hrun.end,
+                                Err(e) => SimTime::max_of(hat, e.at),
+                            };
                             // Either copy's span really ran on a device:
                             // busy time and energy are charged for both,
                             // the loser's as wasted.
-                            let mut waste = |wk: usize, from: SimTime, to: SimTime| {
-                                stats[wk].busy += to - from;
-                                if let Some(sp) = meter.charge(wk as u32, from, to, bid, true) {
-                                    let span_ns = sp.end.nanos() - sp.start.nanos();
-                                    fo.gray.hedge_wasted_pj +=
-                                        meter.profiles()[wk].energy_pj(span_ns, 0);
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.sampler.b.on_energy_span(wk, sp.start, sp.end);
-                                    }
+                            let (verdict, at, loser, from, to) = match hres {
+                                // The duplicate wins: take its results
+                                // (and its wire faults), waste the
+                                // primary's span.
+                                Ok(hrun) if hrun.end < pend => {
+                                    fo.gray.hedge_wins += 1;
+                                    w = h;
+                                    run = Ok(hrun);
+                                    (Phase::HedgeWin, hend, pw, pstart, pend)
+                                }
+                                Ok(hrun) => {
+                                    fo.gray.hedge_cancels += 1;
+                                    (Phase::HedgeCancel, pend, h, hrun.start, hrun.end)
+                                }
+                                // A failed hedge never hurts the primary
+                                // (its result is in hand) and never feeds
+                                // the breaker; the probe's detection span
+                                // is wasted energy.
+                                Err(_) => {
+                                    fo.gray.hedge_cancels += 1;
+                                    (Phase::HedgeCancel, hend, h, hat, hend)
                                 }
                             };
-                            match hres {
-                                Ok(hrun) => {
-                                    if rec.enabled() {
-                                        rec.record(Event::span(
-                                            Phase::Hedge,
-                                            Lane::Worker(h as u32),
-                                            hat,
-                                            hrun.end,
-                                            hctx,
-                                        ));
-                                    }
-                                    if hrun.end < pend {
-                                        // The duplicate wins: take its
-                                        // results (and its wire faults),
-                                        // waste the primary's span.
-                                        fo.gray.hedge_wins += 1;
-                                        if rec.enabled() {
-                                            rec.record(Event::instant(
-                                                Phase::HedgeWin,
-                                                Lane::Worker(h as u32),
-                                                hrun.end,
-                                                hctx,
-                                            ));
-                                        }
-                                        waste(pw, pstart, pend);
-                                        w = h;
-                                        run = Ok(hrun);
-                                    } else {
-                                        fo.gray.hedge_cancels += 1;
-                                        if rec.enabled() {
-                                            rec.record(Event::instant(
-                                                Phase::HedgeCancel,
-                                                Lane::Worker(h as u32),
-                                                pend,
-                                                hctx,
-                                            ));
-                                        }
-                                        waste(h, hrun.start, hrun.end);
-                                    }
-                                }
-                                Err(e) => {
-                                    // A failed hedge never hurts the
-                                    // primary (its result is in hand) and
-                                    // never feeds the breaker; the probe's
-                                    // detection span is wasted energy.
-                                    fo.gray.hedge_cancels += 1;
-                                    let det = SimTime::max_of(hat, e.at);
-                                    waste(h, hat, det);
-                                    if rec.enabled() {
-                                        rec.record(Event::span(
-                                            Phase::Hedge,
-                                            Lane::Worker(h as u32),
-                                            hat,
-                                            det,
-                                            hctx,
-                                        ));
-                                        rec.record(Event::instant(
-                                            Phase::HedgeCancel,
-                                            Lane::Worker(h as u32),
-                                            det,
-                                            hctx,
-                                        ));
-                                    }
-                                }
-                            }
+                            out.record(Event::span(Phase::Hedge, hlane, hat, hend, hctx));
+                            out.record(Event::instant(verdict, hlane, at, hctx));
+                            stats[loser].busy += to - from;
+                            fo.gray.hedge_wasted_pj += out.charge(loser, from, to, bid, true);
                         }
                         fo.hist.record((pend - pstart).nanos(), est.nanos());
                         // Fail-slow scoring on the *primary*: enough
@@ -1910,18 +1889,12 @@ fn serve_core(
                                     fo.outlier_run[pw] = 0;
                                     fo.gray.quarantines += 1;
                                     fo.recompute_degradation(workers, cfg);
-                                    if rec.enabled() {
-                                        rec.record(Event::instant(
-                                            Phase::Quarantine,
-                                            Lane::Worker(pw as u32),
-                                            pend,
-                                            Ctx {
-                                                request_id: None,
-                                                batch_id: Some(bid),
-                                                worker: Some(pw as u32),
-                                            },
-                                        ));
-                                    }
+                                    out.record(Event::instant(
+                                        Phase::Quarantine,
+                                        Lane::Worker(pw as u32),
+                                        pend,
+                                        Ctx::NONE.with_batch(bid).with_worker(pw as u32),
+                                    ));
                                 }
                             } else {
                                 fo.outlier_run[pw] = 0;
@@ -1942,11 +1915,7 @@ fn serve_core(
                 let run = match run {
                     Ok(r) if r.end > timeout_at => {
                         stats[w].busy += r.end - r.start;
-                        if let Some(sp) = meter.charge(w as u32, r.start, r.end, bid, true) {
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                            }
-                        }
+                        out.charge(w, r.start, r.end, bid, true);
                         Err(ServeError { at: timeout_at, kind: FailureKind::Timeout })
                     }
                     other => other,
@@ -1963,13 +1932,8 @@ fn serve_core(
                         if probe {
                             fo.health[w].cooldown = cfg.robust.breaker_cooldown;
                         }
-                        if let Some(sp) = meter.charge(w as u32, run.start, run.end, bid, false) {
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                            }
-                        }
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.meters.reg.inc(o.meters.batches);
+                        out.charge(w, run.start, run.end, bid, false);
+                        if let Some(o) = out.obs.as_deref_mut() {
                             o.sampler.b.on_batch(w, run.start, run.end);
                         }
                         // Wire-integrity processing: the device may have
@@ -2005,56 +1969,21 @@ fn serve_core(
                                 if dropped {
                                     fo.gray.drops_detected += 1;
                                 }
-                                if rec.enabled() {
-                                    rec.record(Event::instant(
-                                        Phase::IntegrityFail,
-                                        Lane::Worker(w as u32),
-                                        at,
-                                        Ctx::request(m.id).with_batch(bid).with_worker(w as u32),
-                                    ));
-                                }
-                                let attempts = m.attempts + 1;
-                                if attempts >= cfg.robust.max_attempts {
-                                    fo.stats.exhausted += 1;
-                                    let r = ShedRecord {
-                                        id: m.id,
-                                        arrival: m.arrival,
-                                        shed_at: at,
-                                        cause: ShedCause::RetriesExhausted,
-                                    };
-                                    record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                                    if rec.enabled() {
-                                        rec.record(
-                                            Event::span(
-                                                Phase::Shed,
-                                                Lane::Queue,
-                                                m.arrival,
-                                                at,
-                                                Ctx::request(m.id).with_batch(bid),
-                                            )
-                                            .with_cause(ShedCause::RetriesExhausted),
-                                        );
-                                    }
-                                } else {
-                                    fo.stats.retries += 1;
-                                    if let Some(o) = obs.as_deref_mut() {
-                                        o.meters.reg.inc(o.meters.retries);
-                                    }
-                                    if rec.enabled() {
-                                        rec.record(Event::instant(
-                                            Phase::RetryAttempt,
-                                            Lane::Server,
-                                            at,
-                                            Ctx::request(m.id).with_batch(bid),
-                                        ));
-                                    }
-                                    requeue.push(Pending {
-                                        id: m.id,
-                                        arrival: m.arrival,
-                                        attempts,
-                                        earliest: at,
-                                    });
-                                }
+                                out.record(Event::instant(
+                                    Phase::IntegrityFail,
+                                    Lane::Worker(w as u32),
+                                    at,
+                                    Ctx::request(m.id).with_batch(bid).with_worker(w as u32),
+                                ));
+                                let max = cfg.robust.max_attempts;
+                                requeue.extend(out.retry_or_shed(
+                                    m,
+                                    at,
+                                    at,
+                                    bid,
+                                    max,
+                                    &mut fo.stats,
+                                ));
                                 continue;
                             }
                             let done = if dropped {
@@ -2079,27 +2008,7 @@ fn serve_core(
                                 batch: size,
                                 attempts: m.attempts + 1,
                             };
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.meters.complete(&record);
-                                o.sampler.complete_later(done, record.latency());
-                            }
-                            if let Some(c) = ctrl.as_deref_mut() {
-                                let kind = if record.latency() > cfg.slo {
-                                    OUTCOME_MISS
-                                } else {
-                                    OUTCOME_GOOD
-                                };
-                                c.outcome(done, kind);
-                            }
-                            if rec.enabled() {
-                                rec.record(Event::instant(
-                                    Phase::Complete,
-                                    Lane::Server,
-                                    done,
-                                    Ctx::request(m.id).with_batch(bid).with_worker(w as u32),
-                                ));
-                            }
-                            completed.push(record);
+                            out.complete(record, bid, cfg.slo);
                         }
                         // Integrity-rejected members re-enter at the
                         // queue head, oldest first — the same contract
@@ -2115,27 +2024,13 @@ fn serve_core(
                         // detection span at busy power. Timeouts were
                         // already charged for the span the device ran.
                         if err.kind != FailureKind::Timeout {
-                            if let Some(sp) = meter.charge(w as u32, t, detect, bid, true) {
-                                if let Some(o) = obs.as_deref_mut() {
-                                    o.sampler.b.on_energy_span(w, sp.start, sp.end);
-                                }
-                            }
+                            out.charge(w, t, detect, bid, true);
                         }
-                        let wctx =
-                            Ctx { request_id: None, batch_id: Some(bid), worker: Some(w as u32) };
+                        let wctx = Ctx::NONE.with_batch(bid).with_worker(w as u32);
                         fo.stats.injected += 1;
                         stats[w].failures += 1;
-                        if let Some(o) = obs.as_deref_mut() {
-                            o.meters.reg.inc(o.meters.faults);
-                        }
-                        if rec.enabled() {
-                            rec.record(Event::instant(
-                                Phase::Failover,
-                                Lane::Worker(w as u32),
-                                detect,
-                                wctx,
-                            ));
-                        }
+                        let lane = Lane::Worker(w as u32);
+                        out.record(Event::instant(Phase::Failover, lane, detect, wctx));
                         // Health: a failed probe reopens immediately with
                         // an escalated cooldown; otherwise consecutive
                         // failures trip the breaker — one failure earlier
@@ -2162,18 +2057,7 @@ fn serve_core(
                                 until: None,
                             });
                             fo.recompute_degradation(workers, cfg);
-                            if let Some(o) = obs.as_deref_mut() {
-                                o.meters.reg.inc(o.meters.circuit_opens);
-                                o.sampler.b.circuit_event(w, 1.0, detect);
-                            }
-                            if rec.enabled() {
-                                rec.record(Event::instant(
-                                    Phase::CircuitOpen,
-                                    Lane::Worker(w as u32),
-                                    detect,
-                                    wctx,
-                                ));
-                            }
+                            out.circuit(w, true, detect, wctx);
                         }
                         // Failover: re-enqueue the members at the queue
                         // head (they are the oldest admitted requests, so
@@ -2185,48 +2069,12 @@ fn serve_core(
                         let backoff = (cfg.robust.backoff_base * exp).min(cfg.robust.backoff_max);
                         let jitter = backoff * (cfg.robust.jitter_frac * jitter_rng.gen::<f64>());
                         let earliest = detect + backoff + jitter;
-                        for m in members.into_iter().rev() {
-                            let attempts = m.attempts + 1;
-                            if attempts >= cfg.robust.max_attempts {
-                                fo.stats.exhausted += 1;
-                                let r = ShedRecord {
-                                    id: m.id,
-                                    arrival: m.arrival,
-                                    shed_at: detect,
-                                    cause: ShedCause::RetriesExhausted,
-                                };
-                                record_shed(r, &mut obs, &mut ctrl, &mut shed);
-                                if rec.enabled() {
-                                    rec.record(
-                                        Event::span(
-                                            Phase::Shed,
-                                            Lane::Queue,
-                                            m.arrival,
-                                            detect,
-                                            Ctx::request(m.id).with_batch(bid),
-                                        )
-                                        .with_cause(ShedCause::RetriesExhausted),
-                                    );
-                                }
-                            } else {
-                                fo.stats.retries += 1;
-                                if let Some(o) = obs.as_deref_mut() {
-                                    o.meters.reg.inc(o.meters.retries);
-                                }
-                                if rec.enabled() {
-                                    rec.record(Event::instant(
-                                        Phase::RetryAttempt,
-                                        Lane::Server,
-                                        detect,
-                                        Ctx::request(m.id).with_batch(bid),
-                                    ));
-                                }
-                                queue.push_front(Pending {
-                                    id: m.id,
-                                    arrival: m.arrival,
-                                    attempts,
-                                    earliest,
-                                });
+                        let max = cfg.robust.max_attempts;
+                        for m in members.iter().rev() {
+                            if let Some(p) =
+                                out.retry_or_shed(m, detect, earliest, bid, max, &mut fo.stats)
+                            {
+                                queue.push_front(p);
                             }
                         }
                     }
@@ -2241,13 +2089,13 @@ fn serve_core(
     ServeOutcome {
         epoch,
         generated: n,
-        completed,
-        shed,
+        completed: out.completed,
+        shed: out.shed,
         workers: stats,
         faults: fo.stats,
         gray: fo.gray,
-        energy: meter,
-        scaling: ctrl.map(|c| c.stats.clone()),
+        energy: out.meter,
+        scaling: out.ctrl.map(|c| c.stats.clone()),
         sim_events,
     }
 }
