@@ -52,17 +52,17 @@ fn trailing_mean(v: &[f64], i: usize, n: usize) -> f64 {
 
 /// Compute merged burn-rate alert windows from a sampled series.
 pub fn burn_alerts(ts: &TimeSeries, cfg: &BurnConfig) -> Vec<AlertWindow> {
-    let burns: Vec<f64> = ts.samples.iter().map(|s| s.slo_burn).collect();
+    let burns = &ts.slo_burn;
     let mut out: Vec<AlertWindow> = Vec::new();
     let mut open = false;
     // No verdict until the slower window has a full history — "has
     // been burning for a while" is meaningless two samples in.
     let need = cfg.fast_samples.max(cfg.slow_samples).max(1);
     for i in 0..burns.len() {
-        let fast = trailing_mean(&burns, i, cfg.fast_samples.max(1));
-        let slow = trailing_mean(&burns, i, cfg.slow_samples.max(1));
+        let fast = trailing_mean(burns, i, cfg.fast_samples.max(1));
+        let slow = trailing_mean(burns, i, cfg.slow_samples.max(1));
         let firing = i + 1 >= need && fast >= cfg.fast_burn && slow >= cfg.slow_burn;
-        let t = ts.samples[i].t;
+        let t = ts.t[i];
         if firing {
             if open {
                 let w = out.last_mut().unwrap();

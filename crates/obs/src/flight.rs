@@ -25,8 +25,8 @@ use std::collections::VecDeque;
 /// Bounds and trigger damping for the [`FlightRecorder`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightConfig {
-    /// Virtual-clock width of the ring: events older than `window`
-    /// behind the newest start time are evicted.
+    /// Virtual-clock width of the ring: events starting more than
+    /// `window` before the latest finish time seen are evicted.
     pub window: Duration,
     /// Hard cap on ring length, whatever the window says.
     pub capacity: usize,
@@ -68,8 +68,9 @@ pub struct IncidentSnapshot {
 pub struct FlightRecorder {
     cfg: FlightConfig,
     ring: VecDeque<Event>,
-    /// High-water mark of virtual time seen so far — spans are recorded
-    /// at varying points, so the newest *start* drives eviction.
+    /// High-water mark of virtual time seen so far: the latest *finish*
+    /// of any recorded event (spans are recorded at varying points, and
+    /// a span's end can lie far past its start), which drives eviction.
     now_ns: u64,
     incidents: Vec<IncidentSnapshot>,
     last_snapshot_ns: Option<u64>,

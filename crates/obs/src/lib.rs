@@ -68,4 +68,4 @@ pub use prof::{
 pub use recorder::{BatchObs, EventLog, GanttRecorder, NullRecorder, Recorder, Tee};
 pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use sample::{SamplePolicy, SampleStats, SamplingRecorder};
-pub use series::{Sample, TimeSeries, TimeSeriesBuilder};
+pub use series::{TimeSeries, TimeSeriesBuilder};

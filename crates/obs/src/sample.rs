@@ -32,6 +32,7 @@ use desim::Duration;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Default top-K-slowest reservoir size when the spec names none.
 pub const DEFAULT_TOP_K: usize = 32;
@@ -178,22 +179,66 @@ impl SampleStats {
     }
 }
 
-/// Buffered state of one not-yet-terminal request.
-#[derive(Default)]
-struct PendingReq {
-    events: Vec<(u64, Event)>,
-    arrive_ns: Option<u64>,
-    flag: Option<KeepReason>,
-    batches: Vec<u64>,
+/// Arena owner tag of an event that is kept.
+const KEPT: u32 = u32::MAX;
+/// Arena owner tag of a dropped event, reclaimed at the next compaction.
+const DROPPED: u32 = u32::MAX - 1;
+/// End of a request's event chain.
+const NIL: u32 = u32::MAX;
+
+/// One recorded event in the shared arena.
+#[derive(Clone, Copy)]
+struct Slot {
+    seq: u64,
+    ev: Event,
+    /// [`KEPT`], [`DROPPED`], or the index in `reqs` of the undecided or
+    /// reservoir-held request the event belongs to.
+    owner: u32,
+    /// Arena index of the owner's next event ([`NIL`] at the end).
+    next: u32,
+}
+
+/// An undecided (or reservoir-held) request: the ends of its event
+/// chain through the arena, and the last batch it joined.
+struct Req {
+    id: u64,
+    head: u32,
+    tail: u32,
+    last_batch: Option<u64>,
 }
 
 /// Per-batch trigger state: a batch-scoped anomaly (hedge, failover,
-/// quarantine) marks every member request as keep-worthy.
+/// quarantine) marks every member request as keep-worthy. Holds the
+/// first trigger `(seq, reason)` and the memberships of undecided
+/// requests; the state is freed when the last of those is decided.
 #[derive(Default)]
 struct BatchState {
-    flag: Option<KeepReason>,
-    members: Vec<u64>,
+    flag: Option<(u64, KeepReason)>,
+    members: u32,
 }
+
+/// Request and batch ids are simulator counters: a multiplicative hash
+/// spreads them as well as SipHash does, at a fraction of the cost.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
 
 /// SplitMix64 finalizer over `(seed, id)` — a deterministic,
 /// order-independent per-request coin for the uniform 1-in-N decision.
@@ -204,21 +249,44 @@ fn mix(seed: u64, id: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Keep the earlier of two keep flags `(seq, rank, reason)`.
+fn earliest(flag: &mut Option<(u64, u8, KeepReason)>, cand: (u64, u8, KeepReason)) {
+    if flag.is_none_or(|f| (cand.0, cand.1) < (f.0, f.1)) {
+        *flag = Some(cand);
+    }
+}
+
 /// A [`Recorder`] implementing tail-based sampling (see the module
 /// docs). Feed it a run, then call [`SamplingRecorder::finish`] to get
 /// the sampled [`EventLog`] plus the keep/drop ledger.
+///
+/// Every event goes into one arena in sequence order; each undecided
+/// request threads a chain through its own events. Deciding a request
+/// retags its chain kept or dropped, and the arena is compacted in
+/// place once dropped events outnumber the rest, so memory follows the
+/// kept log plus the requests still in flight.
 pub struct SamplingRecorder {
     policy: SamplePolicy,
     seed: u64,
     slo_ns: u64,
     seq: u64,
-    kept: Vec<(u64, Event)>,
-    pending: HashMap<u64, PendingReq>,
-    batches: HashMap<u64, BatchState>,
+    arena: Vec<Slot>,
+    /// Dropped slots still in the arena, and the index of the first.
+    dropped: usize,
+    first_dropped: u32,
+    /// Request slab (undecided and reservoir-held) and its free slots.
+    reqs: Vec<Req>,
+    free: Vec<u32>,
+    /// Undecided request id → slab index.
+    open: IdMap<u32>,
+    /// The last request looked up: a request's events mostly arrive
+    /// back to back, so this skips most map lookups.
+    cur: Option<(u64, u32)>,
+    batches: IdMap<BatchState>,
     /// Min-heap of reservoir candidates by `(latency, id)`; ties break
-    /// on the id, so eviction is fully deterministic.
-    reservoir: BinaryHeap<Reverse<(u64, u64)>>,
-    held: HashMap<u64, Vec<(u64, Event)>>,
+    /// on the id, so eviction is fully deterministic. The third field
+    /// is the held request's slab index.
+    reservoir: BinaryHeap<Reverse<(u64, u64, u32)>>,
     stats: SampleStats,
 }
 
@@ -233,11 +301,15 @@ impl SamplingRecorder {
             seed,
             slo_ns: slo.nanos(),
             seq: 0,
-            kept: Vec::new(),
-            pending: HashMap::new(),
-            batches: HashMap::new(),
+            arena: Vec::new(),
+            dropped: 0,
+            first_dropped: NIL,
+            reqs: Vec::new(),
+            free: Vec::new(),
+            open: IdMap::default(),
+            cur: None,
+            batches: IdMap::default(),
             reservoir: BinaryHeap::new(),
-            held: HashMap::new(),
             stats,
         }
     }
@@ -252,34 +324,80 @@ impl SamplingRecorder {
         }
     }
 
-    fn decide(&mut self, id: u64, terminal: &Event) {
-        // E23 hot path: one decision per terminated request — the
-        // sampler's whole overhead story lives here and in the ring
-        // appends, so `--prof` runs break it out by name.
-        let _prof = crate::prof::scope("sample.decide");
-        let Some(mut req) = self.pending.remove(&id) else { return };
-        self.stats.requests_seen += 1;
-        let end_ns = terminal.finish().nanos();
-        let arrive = req.arrive_ns.unwrap_or(end_ns);
-        let latency = end_ns.saturating_sub(arrive);
-
-        // Fold in batch-scoped triggers from every batch that carried
-        // this request (hedges and failovers land before their members'
-        // terminal events, so the flags are already set here).
-        if req.flag.is_none() {
-            for b in &req.batches {
-                if let Some(f) = self.batches.get(b).and_then(|s| s.flag) {
-                    req.flag = Some(f);
-                    break;
-                }
+    /// Slab index of undecided request `id`, opened on its first event.
+    fn req_of(&mut self, id: u64) -> u32 {
+        if let Some((cid, r)) = self.cur {
+            if cid == id {
+                return r;
             }
         }
+        if let Some(&r) = self.open.get(&id) {
+            self.cur = Some((id, r));
+            return r;
+        }
+        let req = Req { id, head: NIL, tail: NIL, last_batch: None };
+        let r = match self.free.pop() {
+            Some(r) => {
+                self.reqs[r as usize] = req;
+                r
+            }
+            None => {
+                self.reqs.push(req);
+                (self.reqs.len() - 1) as u32
+            }
+        };
+        self.open.insert(id, r);
+        self.cur = Some((id, r));
+        r
+    }
+
+    fn decide(&mut self, r: u32, terminal: &Event) {
+        // E23 hot path: one decision per terminated request — the
+        // sampler's whole overhead story lives here and in the arena
+        // appends, so `--prof` runs break it out by name.
+        let _prof = crate::prof::scope("sample.decide");
+        let id = self.reqs[r as usize].id;
+        self.open.remove(&id);
+        self.cur = None;
+        self.stats.requests_seen += 1;
+        // One walk over the request's chain finds its arrival and its
+        // first keep flag, and releases its batch memberships. A flag
+        // counts from when it first applied to the request: its own
+        // fault event, joining an already-triggered batch, or a trigger
+        // on a batch it had joined (at one event, the batch goes first).
+        let mut arrive = None;
+        let mut flag = None;
+        let mut last_batch = None;
+        let mut i = self.reqs[r as usize].head;
+        while i != NIL {
+            let Slot { seq, ev, next, .. } = self.arena[i as usize];
+            i = next;
+            if ev.phase == Phase::Arrive {
+                arrive.get_or_insert(ev.start.nanos());
+            }
+            if let Some(b) = ev.ctx.batch_id.filter(|&b| last_batch != Some(b)) {
+                last_batch = Some(b);
+                let state = self.batches.get_mut(&b).expect("a joined batch is live");
+                if let Some((at, reason)) = state.flag {
+                    earliest(&mut flag, (at.max(seq), 0, reason));
+                }
+                state.members -= 1;
+                if state.members == 0 {
+                    self.batches.remove(&b);
+                }
+            }
+            if matches!(ev.phase, Phase::RetryAttempt | Phase::IntegrityFail | Phase::Failover) {
+                earliest(&mut flag, (seq, 1, KeepReason::Fault));
+            }
+        }
+        let end_ns = terminal.finish().nanos();
+        let latency = end_ns.saturating_sub(arrive.unwrap_or(end_ns));
         let reason = if terminal.phase == Phase::Shed {
             Some(KeepReason::Shed)
         } else if latency > self.slo_ns {
             Some(KeepReason::Slo)
         } else {
-            req.flag
+            flag.map(|(.., reason)| reason)
         };
         if let Some(reason) = reason {
             match reason {
@@ -290,24 +408,85 @@ impl SamplingRecorder {
                 KeepReason::Quarantine => self.stats.quarantine += 1,
             }
             self.stats.requests_kept += 1;
-            self.kept.append(&mut req.events);
+            self.settle(r, KEPT);
             return;
         }
         if mix(self.seed, id).is_multiple_of(self.policy.one_in) {
             self.stats.uniform += 1;
             self.stats.requests_kept += 1;
-            self.kept.append(&mut req.events);
+            self.settle(r, KEPT);
             return;
         }
-        if self.policy.top_k > 0 {
-            // Tentative keep: the K slowest candidates survive the run.
-            self.reservoir.push(Reverse((latency, id)));
-            self.held.insert(id, req.events);
-            if self.reservoir.len() > self.policy.top_k {
-                let Reverse((_, evicted)) = self.reservoir.pop().expect("non-empty reservoir");
-                self.held.remove(&evicted);
-            }
+        if self.policy.top_k == 0 {
+            self.settle(r, DROPPED);
+            return;
         }
+        // Tentative keep: the K slowest candidates survive the run.
+        self.reservoir.push(Reverse((latency, id, r)));
+        if self.reservoir.len() > self.policy.top_k {
+            let Reverse((.., evicted)) = self.reservoir.pop().expect("non-empty reservoir");
+            self.settle(evicted, DROPPED);
+        }
+    }
+
+    /// Retag a decided request's events `owner` (kept or dropped) and
+    /// free its slab slot.
+    fn settle(&mut self, r: u32, owner: u32) {
+        let req = &mut self.reqs[r as usize];
+        let mut i = req.head;
+        (req.head, req.tail) = (NIL, NIL);
+        if owner == DROPPED {
+            self.first_dropped = self.first_dropped.min(i);
+        }
+        while i != NIL {
+            let slot = &mut self.arena[i as usize];
+            slot.owner = owner;
+            i = slot.next;
+            self.dropped += usize::from(owner == DROPPED);
+        }
+        self.free.push(r);
+        if self.dropped * 2 > self.arena.len() {
+            self.compact();
+        }
+    }
+
+    /// Drop the dropped slots in place, keeping sequence order: the
+    /// slots before the first dropped one stay put, the rest slide
+    /// down, and the chains of the requests still undecided or held
+    /// are re-threaded through the moved part.
+    fn compact(&mut self) {
+        let from = self.first_dropped;
+        for req in self.reqs.iter_mut().filter(|req| req.tail != NIL && req.tail >= from) {
+            // Cut the chain after its last event before `from`; the
+            // scan below re-links the rest.
+            let (mut last, mut i) = (NIL, req.head);
+            while i < from {
+                last = i;
+                i = self.arena[i as usize].next;
+            }
+            (req.head, req.tail) = if last == NIL { (NIL, NIL) } else { (req.head, last) };
+        }
+        let mut j = from;
+        for i in from as usize..self.arena.len() {
+            let mut slot = self.arena[i];
+            if slot.owner == DROPPED {
+                continue;
+            }
+            slot.next = NIL;
+            if slot.owner != KEPT {
+                let req = &mut self.reqs[slot.owner as usize];
+                match req.tail {
+                    NIL => req.head = j,
+                    tail => self.arena[tail as usize].next = j,
+                }
+                req.tail = j;
+            }
+            self.arena[j as usize] = slot;
+            j += 1;
+        }
+        self.arena.truncate(j as usize);
+        self.dropped = 0;
+        self.first_dropped = NIL;
     }
 }
 
@@ -316,87 +495,60 @@ impl Recorder for SamplingRecorder {
         let seq = self.seq;
         self.seq += 1;
         self.stats.events_seen += 1;
+        let terminal = matches!(ev.phase, Phase::Complete | Phase::Shed);
         if self.policy.keep_all {
-            self.stats.requests_kept +=
-                u64::from(matches!(ev.phase, Phase::Complete | Phase::Shed));
-            self.stats.requests_seen +=
-                u64::from(matches!(ev.phase, Phase::Complete | Phase::Shed));
-            self.kept.push((seq, ev));
+            self.stats.requests_kept += u64::from(terminal);
+            self.stats.requests_seen += u64::from(terminal);
+            self.arena.push(Slot { seq, ev, owner: KEPT, next: NIL });
             return;
         }
         let Some(id) = ev.ctx.request_id else {
             // Worker / batch / power events always survive — they are
             // what keeps the sampled trace grammatically complete.
-            if let Some(reason) = Self::batch_trigger(ev.phase) {
-                if let Some(b) = ev.ctx.batch_id {
-                    let state = self.batches.entry(b).or_default();
-                    state.flag.get_or_insert(reason);
-                    // Retro-flag members already buffered.
-                    for m in state.members.clone() {
-                        if let Some(req) = self.pending.get_mut(&m) {
-                            req.flag.get_or_insert(reason);
-                        }
-                    }
-                }
+            if let (Some(reason), Some(b)) = (Self::batch_trigger(ev.phase), ev.ctx.batch_id) {
+                self.batches.entry(b).or_default().flag.get_or_insert((seq, reason));
             }
-            self.kept.push((seq, ev));
+            self.arena.push(Slot { seq, ev, owner: KEPT, next: NIL });
             return;
         };
-        let req = self.pending.entry(id).or_default();
-        if let Some(b) = ev.ctx.batch_id {
-            if !req.batches.contains(&b) {
-                req.batches.push(b);
-                let state = self.batches.entry(b).or_default();
-                state.members.push(id);
-                if let Some(f) = state.flag {
-                    self.pending.get_mut(&id).expect("just inserted").flag.get_or_insert(f);
-                }
-            }
+        let r = self.req_of(id);
+        let i = self.arena.len() as u32;
+        self.arena.push(Slot { seq, ev, owner: r, next: NIL });
+        let req = &mut self.reqs[r as usize];
+        match req.tail {
+            NIL => req.head = i,
+            tail => self.arena[tail as usize].next = i,
         }
-        let req = self.pending.get_mut(&id).expect("present");
-        if ev.phase == Phase::Arrive {
-            req.arrive_ns.get_or_insert(ev.start.nanos());
+        req.tail = i;
+        if let Some(b) = ev.ctx.batch_id.filter(|&b| req.last_batch != Some(b)) {
+            req.last_batch = Some(b);
+            self.batches.entry(b).or_default().members += 1;
         }
-        if matches!(ev.phase, Phase::RetryAttempt | Phase::IntegrityFail | Phase::Failover) {
-            req.flag.get_or_insert(KeepReason::Fault);
-        }
-        req.events.push((seq, ev));
-        if matches!(ev.phase, Phase::Complete | Phase::Shed) {
-            self.decide(id, &ev);
+        if terminal {
+            self.decide(r, &ev);
         }
     }
 }
 
 impl SamplingRecorder {
-    /// Resolve the reservoir, restore global event order and return the
-    /// sampled log plus the keep/drop ledger.
+    /// Resolve the reservoir and return the sampled log, in record
+    /// order, plus the keep/drop ledger.
     pub fn finish(mut self) -> (EventLog, SampleStats) {
-        // Reservoir survivors: the K slowest non-triggered requests.
-        let mut survivors: Vec<u64> = self.held.keys().copied().collect();
-        survivors.sort_unstable();
-        for id in survivors {
-            let mut evs = self.held.remove(&id).expect("held");
-            self.stats.reservoir += 1;
-            self.stats.requests_kept += 1;
-            self.kept.append(&mut evs);
-        }
-        // Requests with no terminal event by the end of the run are
-        // anomalies in their own right: keep them.
-        let mut open: Vec<u64> = self.pending.keys().copied().collect();
-        open.sort_unstable();
-        for id in open {
-            let mut req = self.pending.remove(&id).expect("pending");
-            self.stats.requests_seen += 1;
-            self.stats.requests_kept += 1;
-            self.stats.unterminated += 1;
-            self.kept.append(&mut req.events);
-        }
-        self.kept.sort_unstable_by_key(|&(seq, _)| seq);
-        self.stats.events_kept = self.kept.len() as u64;
+        // Reservoir survivors — the K slowest non-triggered requests —
+        // and requests with no terminal event by the end of the run,
+        // which are anomalies in their own right, keep their events.
+        let held = self.reservoir.len() as u64;
+        self.stats.reservoir += held;
+        self.stats.requests_kept += held;
+        let open = self.open.len() as u64;
+        self.stats.requests_seen += open;
+        self.stats.requests_kept += open;
+        self.stats.unterminated += open;
         let mut log = EventLog::new();
-        for (_, ev) in self.kept {
-            log.record(ev);
+        for slot in self.arena.iter().filter(|s| s.owner != DROPPED) {
+            log.record(slot.ev);
         }
+        self.stats.events_kept = log.len() as u64;
         (log, self.stats)
     }
 }
@@ -470,8 +622,8 @@ mod tests {
         let mut full = EventLog::new();
         let mut rec = SamplingRecorder::new(SamplePolicy::all(), 0, Duration::from_millis(500.0));
         feed(&mut rec, 20);
-        for (_, ev) in rec.kept.drain(..) {
-            full.record(ev);
+        for slot in rec.arena.drain(..) {
+            full.record(slot.ev);
         }
         assert_eq!(log.events(), full.events());
         assert_eq!(stats.requests_kept, stats.requests_seen);
@@ -552,5 +704,80 @@ mod tests {
         let line = stats.render();
         assert!(line.starts_with("sampling: spec 1-in-4 kept "), "{line}");
         assert!(!line.contains('\n'));
+    }
+
+    /// Feed `n` serve-shaped requests in batches of four: every tenth
+    /// batch is hedged, every 25th fails over and retries its members
+    /// in the next batch, and each request completes in 2-4 ms.
+    fn feed_batches(rec: &mut SamplingRecorder, n: u64) -> usize {
+        let t = |us: u64| SimTime(us * 1_000);
+        let mut peak = 0;
+        let mut bid = 0;
+        let mut retry: Vec<u64> = Vec::new();
+        let mut next_id = 0;
+        while next_id < n || !retry.is_empty() {
+            let mut members = std::mem::take(&mut retry);
+            while members.len() < 4 && next_id < n {
+                let at = t(next_id * 250);
+                let c = Ctx::request(next_id);
+                rec.record(Event::instant(Phase::Arrive, Lane::Server, at, c));
+                members.push(next_id);
+                next_id += 1;
+            }
+            let now = t(next_id * 250);
+            let w = (bid % 8) as u32;
+            let c = |id| Ctx::request(id).with_batch(bid).with_worker(w);
+            for &id in &members {
+                rec.record(Event::instant(Phase::Dispatch, Lane::Worker(w), now, c(id)));
+                rec.record(Event::span(Phase::Exec, Lane::Worker(w), now, now + ms(1.0), c(id)));
+            }
+            let bctx = Ctx::NONE.with_batch(bid).with_worker(w);
+            if bid % 25 == 24 {
+                rec.record(Event::instant(Phase::Failover, Lane::Worker(w), now, bctx));
+                for &id in &members {
+                    rec.record(Event::instant(Phase::RetryAttempt, Lane::Server, now, c(id)));
+                }
+                retry = members;
+            } else {
+                if bid % 10 == 3 {
+                    rec.record(Event::span(Phase::Hedge, Lane::Worker(w), now, now, bctx));
+                }
+                for &id in &members {
+                    let done = now + ms(2.0 + (id % 3) as f64);
+                    rec.record(Event::instant(Phase::Complete, Lane::Server, done, c(id)));
+                }
+            }
+            bid += 1;
+            peak = peak.max(rec.batches.len() + rec.open.len() + rec.reqs.len());
+        }
+        peak
+    }
+
+    fn ms(v: f64) -> Duration {
+        Duration::from_millis(v)
+    }
+
+    #[test]
+    fn retained_state_stays_bounded_independent_of_run_length() {
+        let policy = SamplePolicy::parse("1-in-100+top40").unwrap();
+        let peaks: Vec<usize> = [10_000, 100_000]
+            .iter()
+            .map(|&n| {
+                let mut rec = SamplingRecorder::new(policy.clone(), 5, ms(500.0));
+                let peak = feed_batches(&mut rec, n);
+                // Decided batches and requests are gone, and the arena
+                // holds little beyond the kept events.
+                assert_eq!((rec.batches.len(), rec.open.len()), (0, 0));
+                let live = rec.arena.iter().filter(|s| s.owner != DROPPED).count();
+                assert!(rec.arena.len() <= 2 * live + 1, "{} vs {live}", rec.arena.len());
+                let (log, stats) = rec.finish();
+                assert_eq!(stats.requests_seen, n);
+                assert!(stats.hedge > 0 && stats.fault > 0, "{stats:?}");
+                assert_eq!(log.len() as u64, stats.events_kept);
+                peak
+            })
+            .collect();
+        assert!(peaks[1] <= 64, "sampler state grew with the run: {peaks:?}");
+        assert_eq!(peaks[0], peaks[1], "peak state must not depend on n");
     }
 }

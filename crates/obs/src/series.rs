@@ -6,67 +6,128 @@
 //! events and emits one row per sampling interval: queue depth,
 //! in-flight batches, cumulative completions/sheds, the SLO burn rate
 //! over the window, and per-worker utilization since epoch.
+//!
+//! The series is stored by column: one `Vec` per scalar column plus
+//! flat row-major per-worker columns, so emitting a row is a handful of
+//! pushes and never allocates per row.
 
 use crate::prof::WriteStats;
 use desim::{Duration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
 
-/// One sampled row.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Sample {
-    pub t: SimTime,
-    /// Requests waiting in the bounded queue.
-    pub queue_depth: usize,
-    /// Batches dispatched but not yet fully returned.
-    pub inflight_batches: usize,
-    /// Cumulative completions so far.
-    pub completed: u64,
-    /// Cumulative shed requests so far.
-    pub shed: u64,
-    /// Fraction of the window's completions that missed the SLO
-    /// (error-budget burn rate; 0 when the window saw no completions).
-    pub slo_burn: f64,
-    /// Fraction of the window's arrivals that were shed (0 when the
-    /// window saw no arrivals).
-    pub shed_rate: f64,
-    /// Per-worker busy fraction of the epoch→t interval.
-    pub worker_util: Vec<f64>,
-    /// Per-worker circuit-breaker state as of this boundary: 0.0
-    /// closed, 1.0 open (matches the CircuitOpen/CircuitClose events).
-    pub circuit: Vec<f64>,
-    /// Per-worker average power draw in watts over epoch→t (busy spans
-    /// at the busy rate, the rest gated/idle; zero until the builder is
-    /// given power profiles).
-    pub worker_power: Vec<f64>,
-    /// Cumulative fleet energy in joules since the epoch.
-    pub energy_j: f64,
-    /// Cumulative completions per joule — numerically identical to
-    /// img/s/W, the paper's Eq. 1 axis, but over *integrated* energy
-    /// rather than nameplate TDP.
-    pub img_per_watt: f64,
-    /// Workers currently dispatchable (not drained, not provisioning).
-    /// Constant at the fleet size unless an autoscaler is attached.
-    pub live_sticks: usize,
-    /// Cumulative autoscaling decisions applied so far.
-    pub scale_events: u64,
-}
-
-/// A complete sampled series with its worker column labels.
+/// A complete sampled series with its worker column labels, one `Vec`
+/// per column. Row `i` of a per-worker column (`util`, `circuit`,
+/// `power`) is the slice `[i * w .. (i + 1) * w]` for `w` workers; the
+/// `*_row` accessors return it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimeSeries {
     pub epoch: SimTime,
     pub interval: Duration,
     pub worker_labels: Vec<String>,
-    pub samples: Vec<Sample>,
     /// True when the run carried an autoscaler: the CSV then appends
     /// `live_sticks,scale_events` columns. Controller-less runs keep
     /// the exact pre-autoscaling column set, byte for byte.
     pub scaling: bool,
+    /// Sample boundary of each row.
+    pub t: Vec<SimTime>,
+    /// Requests waiting in the bounded queue.
+    pub queue_depth: Vec<usize>,
+    /// Batches dispatched but not yet fully returned.
+    pub inflight_batches: Vec<usize>,
+    /// Cumulative completions so far.
+    pub completed: Vec<u64>,
+    /// Cumulative shed requests so far.
+    pub shed: Vec<u64>,
+    /// Fraction of the window's completions that missed the SLO
+    /// (error-budget burn rate; 0 when the window saw no completions).
+    pub slo_burn: Vec<f64>,
+    /// Fraction of the window's arrivals that were shed (0 when the
+    /// window saw no arrivals).
+    pub shed_rate: Vec<f64>,
+    /// Per-worker busy fraction of the epoch→t interval.
+    pub util: Vec<f64>,
+    /// Per-worker circuit-breaker state as of the boundary: 0.0 closed,
+    /// 1.0 open (matches the CircuitOpen/CircuitClose events).
+    pub circuit: Vec<f64>,
+    /// Per-worker average power draw in watts over epoch→t (busy spans
+    /// at the busy rate, the rest gated/idle; zero until the builder is
+    /// given power profiles).
+    pub power: Vec<f64>,
+    /// Cumulative fleet energy in joules since the epoch.
+    pub energy_j: Vec<f64>,
+    /// Cumulative completions per joule — numerically identical to
+    /// img/s/W, the paper's Eq. 1 axis, but over *integrated* energy
+    /// rather than nameplate TDP.
+    pub img_per_watt: Vec<f64>,
+    /// Workers currently dispatchable (not drained, not provisioning).
+    /// Constant at the fleet size unless an autoscaler is attached.
+    pub live_sticks: Vec<usize>,
+    /// Cumulative autoscaling decisions applied so far.
+    pub scale_events: Vec<u64>,
 }
 
 impl TimeSeries {
+    /// An empty series (no rows) over `worker_labels`.
+    fn empty(
+        epoch: SimTime,
+        interval: Duration,
+        worker_labels: Vec<String>,
+        scaling: bool,
+    ) -> TimeSeries {
+        TimeSeries {
+            epoch,
+            interval,
+            worker_labels,
+            scaling,
+            t: Vec::new(),
+            queue_depth: Vec::new(),
+            inflight_batches: Vec::new(),
+            completed: Vec::new(),
+            shed: Vec::new(),
+            slo_burn: Vec::new(),
+            shed_rate: Vec::new(),
+            util: Vec::new(),
+            circuit: Vec::new(),
+            power: Vec::new(),
+            energy_j: Vec::new(),
+            img_per_watt: Vec::new(),
+            live_sticks: Vec::new(),
+            scale_events: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.t.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.t.is_empty()
+    }
+
+    fn row<'a>(&self, col: &'a [f64], i: usize) -> &'a [f64] {
+        let w = self.worker_labels.len();
+        &col[i * w..(i + 1) * w]
+    }
+
+    /// Row `i` of the per-worker utilization column.
+    pub fn util_row(&self, i: usize) -> &[f64] {
+        self.row(&self.util, i)
+    }
+
+    /// Row `i` of the per-worker circuit column.
+    pub fn circuit_row(&self, i: usize) -> &[f64] {
+        self.row(&self.circuit, i)
+    }
+
+    /// Row `i` of the per-worker power column.
+    pub fn power_row(&self, i: usize) -> &[f64] {
+        self.row(&self.power, i)
+    }
+
     /// CSV export: `time_ms,queue_depth,inflight_batches,completed,shed,
     /// slo_burn,shed_rate,util_<worker>...,circuit_<worker>...,
     /// power_<worker>...,energy_j,img_per_watt`, times relative to the
@@ -86,14 +147,10 @@ impl TimeSeries {
         let mut stats = WriteStats::default();
         let mut row = String::from("time_ms,queue_depth,inflight_batches,completed,shed,slo_burn");
         row.push_str(",shed_rate");
-        for label in &self.worker_labels {
-            let _ = write!(row, ",util_{}", label.replace([' ', ','], "_"));
-        }
-        for label in &self.worker_labels {
-            let _ = write!(row, ",circuit_{}", label.replace([' ', ','], "_"));
-        }
-        for label in &self.worker_labels {
-            let _ = write!(row, ",power_{}", label.replace([' ', ','], "_"));
+        for prefix in ["util", "circuit", "power"] {
+            for label in &self.worker_labels {
+                let _ = write!(row, ",{prefix}_{}", label.replace([' ', ','], "_"));
+            }
         }
         row.push_str(",energy_j,img_per_watt");
         if self.scaling {
@@ -103,31 +160,31 @@ impl TimeSeries {
         stats.peak_buffered = stats.peak_buffered.max(row.len() as u64);
         sink.write_all(row.as_bytes())?;
         stats.bytes += row.len() as u64;
-        for s in &self.samples {
+        for i in 0..self.len() {
             row.clear();
             let _ = write!(
                 row,
                 "{:.3},{},{},{},{},{:.6},{:.6}",
-                (s.t - self.epoch).as_millis(),
-                s.queue_depth,
-                s.inflight_batches,
-                s.completed,
-                s.shed,
-                s.slo_burn,
-                s.shed_rate
+                (self.t[i] - self.epoch).as_millis(),
+                self.queue_depth[i],
+                self.inflight_batches[i],
+                self.completed[i],
+                self.shed[i],
+                self.slo_burn[i],
+                self.shed_rate[i]
             );
-            for u in &s.worker_util {
+            for u in self.util_row(i) {
                 let _ = write!(row, ",{u:.6}");
             }
-            for c in &s.circuit {
+            for c in self.circuit_row(i) {
                 let _ = write!(row, ",{c:.1}");
             }
-            for p in &s.worker_power {
+            for p in self.power_row(i) {
                 let _ = write!(row, ",{p:.6}");
             }
-            let _ = write!(row, ",{:.6},{:.6}", s.energy_j, s.img_per_watt);
+            let _ = write!(row, ",{:.6},{:.6}", self.energy_j[i], self.img_per_watt[i]);
             if self.scaling {
-                let _ = write!(row, ",{},{}", s.live_sticks, s.scale_events);
+                let _ = write!(row, ",{},{}", self.live_sticks[i], self.scale_events[i]);
             }
             row.push('\n');
             stats.peak_buffered = stats.peak_buffered.max(row.len() as u64);
@@ -179,16 +236,17 @@ impl TimeSeries {
             .take_while(|c| c.starts_with("util_"))
             .map(|c| c["util_".len()..].to_string())
             .collect();
+        let w = labels.len();
         // Pre-energy CSVs stop after the circuit columns; current ones
         // add `power_<worker>...,energy_j,img_per_watt`, and autoscaled
         // runs append `live_sticks,scale_events`. Accept all three so
         // archived series files keep parsing (absent columns read as
         // zero).
-        let old_shape = FIXED.len() + 2 * labels.len();
-        let new_shape = FIXED.len() + 3 * labels.len() + 2;
+        let old_shape = FIXED.len() + 2 * w;
+        let new_shape = FIXED.len() + 3 * w + 2;
         let scaled_shape = new_shape + 2;
         let power_cols = |cols: &[&str]| {
-            cols.get(old_shape..old_shape + labels.len())
+            cols.get(old_shape..old_shape + w)
                 .is_some_and(|s| s.iter().all(|c| c.starts_with("power_")))
         };
         let has_scaling = cols.len() == scaled_shape
@@ -207,16 +265,17 @@ impl TimeSeries {
         };
         if cols.len() != expect {
             return Err(format!(
-                "header (line 1): {} columns, expected {expect} for a {}-worker series",
+                "header (line 1): {} columns, expected {expect} for a {w}-worker series",
                 cols.len(),
-                labels.len()
             ));
         }
-        let mut samples = Vec::new();
+        let mut ts = TimeSeries::empty(SimTime::ZERO, Duration::ZERO, labels, has_scaling);
+        let mut f: Vec<&str> = Vec::with_capacity(expect);
         for (ln, line) in lines.enumerate() {
             // 1-based file line number: the header is line 1.
             let ln = ln + 2;
-            let f: Vec<&str> = line.split(',').collect();
+            f.clear();
+            f.extend(line.split(','));
             if f.len() != expect {
                 return Err(format!("line {ln}: {} fields, expected {expect}", f.len()));
             }
@@ -235,43 +294,34 @@ impl TimeSeries {
                     )
                 })
             };
-            samples.push(Sample {
-                t: SimTime::ZERO + Duration::from_millis(num(0)?),
-                queue_depth: int(1)? as usize,
-                inflight_batches: int(2)? as usize,
-                completed: int(3)?,
-                shed: int(4)?,
-                slo_burn: num(5)?,
-                shed_rate: num(6)?,
-                worker_util: (0..labels.len())
-                    .map(|w| num(FIXED.len() + w))
-                    .collect::<Result<_, _>>()?,
-                circuit: (0..labels.len())
-                    .map(|w| num(FIXED.len() + labels.len() + w))
-                    .collect::<Result<_, _>>()?,
-                worker_power: if has_energy {
-                    (0..labels.len()).map(|w| num(old_shape + w)).collect::<Result<_, _>>()?
-                } else {
-                    vec![0.0; labels.len()]
-                },
-                energy_j: if has_energy { num(new_shape - 2)? } else { 0.0 },
-                img_per_watt: if has_energy { num(new_shape - 1)? } else { 0.0 },
-                live_sticks: if has_scaling { int(scaled_shape - 2)? as usize } else { 0 },
-                scale_events: if has_scaling { int(scaled_shape - 1)? } else { 0 },
-            });
+            ts.t.push(SimTime::ZERO + Duration::from_millis(num(0)?));
+            ts.queue_depth.push(int(1)? as usize);
+            ts.inflight_batches.push(int(2)? as usize);
+            ts.completed.push(int(3)?);
+            ts.shed.push(int(4)?);
+            ts.slo_burn.push(num(5)?);
+            ts.shed_rate.push(num(6)?);
+            for i in FIXED.len()..FIXED.len() + w {
+                ts.util.push(num(i)?);
+            }
+            for i in FIXED.len() + w..old_shape {
+                ts.circuit.push(num(i)?);
+            }
+            for i in old_shape..old_shape + w {
+                ts.power.push(if has_energy { num(i)? } else { 0.0 });
+            }
+            ts.energy_j.push(if has_energy { num(new_shape - 2)? } else { 0.0 });
+            ts.img_per_watt.push(if has_energy { num(new_shape - 1)? } else { 0.0 });
+            ts.live_sticks.push(if has_scaling { int(scaled_shape - 2)? as usize } else { 0 });
+            ts.scale_events.push(if has_scaling { int(scaled_shape - 1)? } else { 0 });
         }
-        let interval = match samples.as_slice() {
-            [a, b, ..] => b.t - a.t,
-            [a] => a.t - SimTime::ZERO,
+        let interval = match ts.t.as_slice() {
+            [a, b, ..] => *b - *a,
+            [a] => *a - SimTime::ZERO,
             [] => Duration::from_millis(1.0),
         };
-        Ok(TimeSeries {
-            epoch: SimTime::ZERO,
-            interval: if interval > Duration::ZERO { interval } else { Duration::from_millis(1.0) },
-            worker_labels: labels,
-            samples,
-            scaling: has_scaling,
-        })
+        ts.interval = if interval > Duration::ZERO { interval } else { Duration::from_millis(1.0) };
+        Ok(ts)
     }
 
     /// Fold another shard's series into this one, the time-series leg
@@ -322,168 +372,207 @@ impl TimeSeries {
         if self.scaling != other.scaling {
             return Err("series merge: one series has autoscaling columns".to_string());
         }
-        // Extend self with the tail of a longer other; tail rows start
-        // from a copy that keeps other's cumulative columns only.
-        while self.samples.len() < other.samples.len() {
-            let last = self.samples.last().cloned();
-            let t = other.samples[self.samples.len()].t;
-            let n = self.worker_labels.len();
-            let mut s = Sample {
-                t,
-                queue_depth: 0,
-                inflight_batches: 0,
-                completed: 0,
-                shed: 0,
-                slo_burn: 0.0,
-                shed_rate: 0.0,
-                worker_util: vec![0.0; n],
-                circuit: vec![0.0; n],
-                worker_power: vec![0.0; n],
-                energy_j: 0.0,
-                img_per_watt: 0.0,
-                live_sticks: 0,
-                scale_events: 0,
-            };
-            if let Some(last) = last {
-                s.completed = last.completed;
-                s.shed = last.shed;
-                s.energy_j = last.energy_j;
-                s.scale_events = last.scale_events;
-            }
-            self.samples.push(s);
+        // Extend self with the tail of a longer other; tail rows carry
+        // self's cumulative columns only.
+        let w = self.worker_labels.len();
+        while self.len() < other.len() {
+            let last = self.len().checked_sub(1);
+            let carry = |col: &[u64]| last.map_or(0, |l| col[l]);
+            self.t.push(other.t[self.len()]);
+            self.queue_depth.push(0);
+            self.inflight_batches.push(0);
+            self.completed.push(carry(&self.completed));
+            self.shed.push(carry(&self.shed));
+            self.slo_burn.push(0.0);
+            self.shed_rate.push(0.0);
+            self.util.extend(std::iter::repeat_n(0.0, w));
+            self.circuit.extend(std::iter::repeat_n(0.0, w));
+            self.power.extend(std::iter::repeat_n(0.0, w));
+            self.energy_j.push(last.map_or(0.0, |l| self.energy_j[l]));
+            self.img_per_watt.push(0.0);
+            self.live_sticks.push(0);
+            self.scale_events.push(carry(&self.scale_events));
         }
-        for (i, s) in self.samples.iter_mut().enumerate() {
+        for i in 0..self.len() {
             // Past other's end, its final cumulative values carry on.
-            let (o, live) = match other.samples.get(i) {
-                Some(o) => (Some(o), true),
-                None => (other.samples.last(), false),
+            let live = i < other.len();
+            let Some(o) = (if live { Some(i) } else { other.len().checked_sub(1) }) else {
+                continue;
             };
-            let Some(o) = o else { continue };
             if live {
-                s.queue_depth += o.queue_depth;
-                s.inflight_batches += o.inflight_batches;
-                s.slo_burn = s.slo_burn.max(o.slo_burn);
-                s.shed_rate = s.shed_rate.max(o.shed_rate);
-                for (a, b) in s.worker_util.iter_mut().zip(&o.worker_util) {
-                    *a = a.max(*b);
+                self.queue_depth[i] += other.queue_depth[o];
+                self.inflight_batches[i] += other.inflight_batches[o];
+                self.slo_burn[i] = self.slo_burn[i].max(other.slo_burn[o]);
+                self.shed_rate[i] = self.shed_rate[i].max(other.shed_rate[o]);
+                let rows = i * w..(i + 1) * w;
+                for (mine, theirs) in [
+                    (&mut self.util, &other.util),
+                    (&mut self.circuit, &other.circuit),
+                    (&mut self.power, &other.power),
+                ] {
+                    for (a, b) in mine[rows.clone()].iter_mut().zip(&theirs[rows.clone()]) {
+                        *a = a.max(*b);
+                    }
                 }
-                for (a, b) in s.circuit.iter_mut().zip(&o.circuit) {
-                    *a = a.max(*b);
-                }
-                for (a, b) in s.worker_power.iter_mut().zip(&o.worker_power) {
-                    *a = a.max(*b);
-                }
-                s.live_sticks += o.live_sticks;
+                self.live_sticks[i] += other.live_sticks[o];
             }
-            s.completed += o.completed;
-            s.shed += o.shed;
-            s.energy_j += o.energy_j;
-            s.scale_events += o.scale_events;
-            s.img_per_watt = if s.energy_j > 0.0 { s.completed as f64 / s.energy_j } else { 0.0 };
+            self.completed[i] += other.completed[o];
+            self.shed[i] += other.shed[o];
+            self.energy_j[i] += other.energy_j[o];
+            self.scale_events[i] += other.scale_events[o];
+            self.img_per_watt[i] = if self.energy_j[i] > 0.0 {
+                self.completed[i] as f64 / self.energy_j[i]
+            } else {
+                0.0
+            };
         }
         Ok(())
+    }
+}
+
+/// Per-worker state of the [`TimeSeriesBuilder`].
+#[derive(Debug)]
+struct WorkerState {
+    /// Service spans not yet fully behind the last boundary, in
+    /// dispatch order (each worker self-serializes, so spans are
+    /// non-overlapping and time-ordered), and the busy time of the
+    /// spans already consumed.
+    spans: VecDeque<(SimTime, SimTime)>,
+    busy: Duration,
+    /// The same for *charged* busy spans (clipped, so disjoint and
+    /// time-ordered) — unlike `spans`, these include failed attempts,
+    /// whose energy is real even though they serve nothing.
+    espans: VecDeque<(SimTime, SimTime)>,
+    ebusy: Duration,
+    /// `(busy_mw, idle_mw)` power rates; zero until
+    /// [`TimeSeriesBuilder::set_power`] is called.
+    rates: (u64, u64),
+    /// Powered state, the instant it last changed, and the powered
+    /// nanoseconds accumulated before that instant — drives the energy
+    /// columns for workers that are dark for part of the run.
+    powered: bool,
+    pmark: SimTime,
+    pconsumed: u64,
+    /// Circuit state (0.0 closed, 1.0 open).
+    circuit: f64,
+}
+
+/// Busy time over `epoch..s` of a time-ordered span ledger: spans
+/// ending by `s` are folded into `busy` and dropped, and the span
+/// straddling `s` (if any) adds partial credit. Returns the total and
+/// the start of the first span still open.
+fn busy_through(
+    spans: &mut VecDeque<(SimTime, SimTime)>,
+    busy: &mut Duration,
+    s: SimTime,
+) -> (Duration, Option<SimTime>) {
+    while let Some(&(start, end)) = spans.front() {
+        if end > s {
+            break;
+        }
+        *busy += end - start;
+        spans.pop_front();
+    }
+    let open = spans.front().map(|&(start, _)| start);
+    let partial = open.filter(|&start| start < s).map_or(Duration::ZERO, |start| s - start);
+    (*busy + partial, open)
+}
+
+/// Buffered future transitions, kept ordered by instant on insert;
+/// same-instant transitions keep their insertion order.
+#[derive(Debug)]
+struct Pending<T>(VecDeque<(SimTime, T)>);
+
+impl<T: Copy> Pending<T> {
+    fn new() -> Self {
+        Pending(VecDeque::new())
+    }
+
+    fn insert(&mut self, at: SimTime, v: T) {
+        let i = self.0.partition_point(|&(t, _)| t <= at);
+        self.0.insert(i, (at, v));
+    }
+
+    /// The next transition at or before `s`, removed.
+    fn pop_due(&mut self, s: SimTime) -> Option<(SimTime, T)> {
+        let &(at, v) = self.0.front().filter(|&&(at, _)| at <= s)?;
+        self.0.pop_front();
+        Some((at, v))
     }
 }
 
 /// Incremental builder the serving loop drives. `advance` must be
 /// called with non-decreasing instants (the loop's event times); each
 /// crossing of a sample boundary emits a row using the state as of
-/// that boundary.
+/// that boundary. Memory is the rows plus what is still in flight: a
+/// span is dropped once a boundary passes its end.
 #[derive(Debug)]
 pub struct TimeSeriesBuilder {
-    epoch: SimTime,
-    interval: Duration,
     slo: Duration,
-    labels: Vec<String>,
     next: SimTime,
-    /// Per-worker service spans in dispatch order (each worker
-    /// self-serializes, so spans are non-overlapping and time-ordered).
-    spans: Vec<Vec<(SimTime, SimTime)>>,
-    /// Per-worker cursor + busy time of fully consumed spans.
-    cursor: Vec<usize>,
-    consumed: Vec<Duration>,
-    /// Per-worker `(busy_mw, idle_mw)` power rates; all-zero until
-    /// [`TimeSeriesBuilder::set_power`] is called.
-    power: Vec<(u64, u64)>,
-    /// Per-worker *charged* busy spans (clipped, so disjoint and
-    /// time-ordered) — unlike `spans`, these include failed attempts,
-    /// whose energy is real even though they serve nothing.
-    espans: Vec<Vec<(SimTime, SimTime)>>,
-    ecursor: Vec<usize>,
-    econsumed: Vec<Duration>,
-    /// Outstanding batch spans (pruned as samples pass their end).
-    active: Vec<(SimTime, SimTime)>,
+    workers: Vec<WorkerState>,
     completed: u64,
     shed: u64,
     win_done: u64,
     win_miss: u64,
     win_arrived: u64,
     win_shed: u64,
-    /// Current per-worker circuit state (0.0 closed, 1.0 open).
-    circuit: Vec<f64>,
-    /// Future circuit transitions `(at, worker, state)` — failure
+    /// Future circuit transitions `(at, (worker, state))` — failure
     /// detection lands after the loop instant that dispatched the
     /// batch, so transitions are buffered and applied in time order as
     /// sample boundaries pass them (mirrors completion buffering in the
     /// serving loop).
-    circuit_pending: Vec<(SimTime, usize, f64)>,
+    circuit_pending: Pending<(usize, f64)>,
+    /// Future power transitions `(at, (worker, powered))` — a drain's
+    /// power-off lands when its in-flight batches finish.
+    power_pending: Pending<(usize, bool)>,
     /// `Some` once an autoscaler attached: current live-worker count
     /// and cumulative decisions, with buffered future transitions
-    /// `(at, live_delta, decision_delta)` — a scale-up's live increment
-    /// lands at the end of its provisioning delay, past the tick that
-    /// decided it.
+    /// `(at, (live_delta, decision_delta))` — a scale-up's live
+    /// increment lands at the end of its provisioning delay, past the
+    /// tick that decided it.
     scaling: Option<ScalingCols>,
-    /// Per-worker powered state, the instant it last changed, and the
-    /// powered nanoseconds accumulated before that instant — drives the
-    /// energy columns for workers that are dark for part of the run.
-    pstate: Vec<bool>,
-    pmark: Vec<SimTime>,
-    pconsumed: Vec<u64>,
-    /// Buffered future power transitions `(at, worker, powered)` — a
-    /// drain's power-off lands when its in-flight batches finish.
-    power_pending: Vec<(SimTime, usize, bool)>,
-    samples: Vec<Sample>,
+    ts: TimeSeries,
 }
 
 #[derive(Debug)]
 struct ScalingCols {
     live: usize,
     events: u64,
-    pending: Vec<(SimTime, i64, u64)>,
+    pending: Pending<(i64, u64)>,
 }
 
 impl TimeSeriesBuilder {
     pub fn new(labels: Vec<String>, epoch: SimTime, interval: Duration, slo: Duration) -> Self {
         assert!(interval > Duration::ZERO, "sampling interval must be positive");
-        let n = labels.len();
+        let workers = labels
+            .iter()
+            .map(|_| WorkerState {
+                spans: VecDeque::new(),
+                busy: Duration::ZERO,
+                espans: VecDeque::new(),
+                ebusy: Duration::ZERO,
+                rates: (0, 0),
+                powered: true,
+                pmark: epoch,
+                pconsumed: 0,
+                circuit: 0.0,
+            })
+            .collect();
         TimeSeriesBuilder {
-            epoch,
-            interval,
             slo,
-            labels,
             next: epoch + interval,
-            spans: vec![Vec::new(); n],
-            cursor: vec![0; n],
-            consumed: vec![Duration::ZERO; n],
-            power: vec![(0, 0); n],
-            espans: vec![Vec::new(); n],
-            ecursor: vec![0; n],
-            econsumed: vec![Duration::ZERO; n],
-            active: Vec::new(),
+            workers,
             completed: 0,
             shed: 0,
             win_done: 0,
             win_miss: 0,
             win_arrived: 0,
             win_shed: 0,
-            circuit: vec![0.0; n],
-            circuit_pending: Vec::new(),
+            circuit_pending: Pending::new(),
+            power_pending: Pending::new(),
             scaling: None,
-            pstate: vec![true; n],
-            pmark: vec![epoch; n],
-            pconsumed: vec![0; n],
-            power_pending: Vec::new(),
-            samples: Vec::new(),
+            ts: TimeSeries::empty(epoch, interval, labels, false),
         }
     }
 
@@ -491,7 +580,8 @@ impl TimeSeriesBuilder {
     /// `initial_live`) and cumulative `scale_events`. Without this call
     /// the series keeps the exact pre-autoscaling CSV shape.
     pub fn enable_scaling(&mut self, initial_live: usize) {
-        self.scaling = Some(ScalingCols { live: initial_live, events: 0, pending: Vec::new() });
+        self.scaling = Some(ScalingCols { live: initial_live, events: 0, pending: Pending::new() });
+        self.ts.scaling = true;
     }
 
     /// An autoscaling transition: at `at`, the live-worker count moves
@@ -500,7 +590,7 @@ impl TimeSeriesBuilder {
     /// boundaries, like circuit transitions.
     pub fn scale_event(&mut self, at: SimTime, live_delta: i64, decisions: u64) {
         if let Some(sc) = self.scaling.as_mut() {
-            sc.pending.push((at, live_delta, decisions));
+            sc.pending.insert(at, (live_delta, decisions));
         }
     }
 
@@ -508,28 +598,30 @@ impl TimeSeriesBuilder {
     /// `at`: from that instant its energy column integrates zero draw
     /// (respectively its idle/busy rates again).
     pub fn power_event(&mut self, worker: usize, at: SimTime, powered: bool) {
-        self.power_pending.push((at, worker, powered));
+        self.power_pending.insert(at, (worker, powered));
     }
 
     /// A batch was dispatched to `worker`, occupying it over
-    /// `start..end`.
+    /// `start..end`. Each worker's spans must be time-ordered and
+    /// non-overlapping.
     pub fn on_batch(&mut self, worker: usize, start: SimTime, end: SimTime) {
-        self.spans[worker].push((start, end));
-        self.active.push((start, end));
+        self.workers[worker].spans.push_back((start, end));
     }
 
     /// Provide per-worker `(busy_mw, idle_mw)` rates so samples carry
     /// power/energy columns (zero otherwise).
     pub fn set_power(&mut self, rates: Vec<(u64, u64)>) {
-        assert_eq!(rates.len(), self.power.len(), "one power rate per worker");
-        self.power = rates;
+        assert_eq!(rates.len(), self.workers.len(), "one power rate per worker");
+        for (w, r) in self.workers.iter_mut().zip(rates) {
+            w.rates = r;
+        }
     }
 
     /// Energy was charged to `worker` over `start..end` (an already
     /// clipped meter span — includes failed attempts, which don't count
     /// toward utilization but do burn joules).
     pub fn on_energy_span(&mut self, worker: usize, start: SimTime, end: SimTime) {
-        self.espans[worker].push((start, end));
+        self.workers[worker].espans.push_back((start, end));
     }
 
     /// A request completed with end-to-end `latency`.
@@ -556,7 +648,7 @@ impl TimeSeriesBuilder {
     /// open, 0.0 closed) at instant `at`, which may lie beyond the
     /// loop's current time — applied when a sample boundary passes it.
     pub fn circuit_event(&mut self, worker: usize, state: f64, at: SimTime) {
-        self.circuit_pending.push((at, worker, state));
+        self.circuit_pending.insert(at, (worker, state));
     }
 
     /// Emit any samples whose boundary falls at or before `now`, using
@@ -564,112 +656,63 @@ impl TimeSeriesBuilder {
     pub fn advance(&mut self, now: SimTime, queue_depth: usize) {
         while self.next <= now {
             let s = self.next;
-            self.next += self.interval;
+            self.next += self.ts.interval;
             self.emit(s, queue_depth);
         }
     }
 
     fn emit(&mut self, s: SimTime, queue_depth: usize) {
-        // Apply circuit transitions up to this boundary in time order
-        // (stable sort keeps same-instant transitions in push order).
-        self.circuit_pending.sort_by_key(|&(at, _, _)| at);
-        let mut applied = 0;
-        for &(at, w, state) in self.circuit_pending.iter() {
-            if at > s {
-                break;
-            }
-            self.circuit[w] = state;
-            applied += 1;
+        // Row emission runs once per sampling interval whether or not
+        // anything happened, so on long sparse horizons it is a visible
+        // share of an observed run; `--prof` names it.
+        let _prof = crate::prof::scope("series.emit");
+        // Apply the transitions up to this boundary in time order.
+        while let Some((_, (w, state))) = self.circuit_pending.pop_due(s) {
+            self.workers[w].circuit = state;
         }
-        self.circuit_pending.drain(..applied);
-        // Apply power transitions up to this boundary, accumulating
-        // each worker's powered time piecewise.
-        self.power_pending.sort_by_key(|&(at, _, _)| at);
-        let mut applied = 0;
-        for &(at, w, powered) in self.power_pending.iter() {
-            if at > s {
-                break;
+        // Power transitions accumulate each worker's powered time
+        // piecewise.
+        while let Some((at, (w, powered))) = self.power_pending.pop_due(s) {
+            let ws = &mut self.workers[w];
+            if ws.powered {
+                ws.pconsumed += (at - ws.pmark).nanos();
             }
-            if self.pstate[w] {
-                self.pconsumed[w] += (at - self.pmark[w]).nanos();
-            }
-            self.pmark[w] = at;
-            self.pstate[w] = powered;
-            applied += 1;
+            ws.pmark = at;
+            ws.powered = powered;
         }
-        self.power_pending.drain(..applied);
-        // Apply scaling transitions up to this boundary.
         if let Some(sc) = self.scaling.as_mut() {
-            sc.pending.sort_by_key(|&(at, _, _)| at);
-            let mut applied = 0;
-            for &(at, live_delta, decisions) in sc.pending.iter() {
-                if at > s {
-                    break;
-                }
+            while let Some((_, (live_delta, decisions))) = sc.pending.pop_due(s) {
                 sc.live = (sc.live as i64 + live_delta).max(0) as usize;
                 sc.events += decisions;
-                applied += 1;
             }
-            sc.pending.drain(..applied);
         }
-        let horizon = (s - self.epoch).as_secs();
-        let util: Vec<f64> = (0..self.labels.len())
-            .map(|w| {
-                let spans = &self.spans[w];
-                let (mut cur, mut busy) = (self.cursor[w], self.consumed[w]);
-                while cur < spans.len() && spans[cur].1 <= s {
-                    busy += spans[cur].1 - spans[cur].0;
-                    cur += 1;
-                }
-                self.cursor[w] = cur;
-                self.consumed[w] = busy;
-                // Partial credit for the span straddling the boundary.
-                if cur < spans.len() && spans[cur].0 < s {
-                    busy += s - spans[cur].0;
-                }
-                if horizon <= 0.0 {
-                    0.0
-                } else {
-                    busy.as_secs() / horizon
-                }
-            })
-            .collect();
+        let ts = &mut self.ts;
+        let horizon = (s - ts.epoch).as_secs();
         // Energy: integrate each worker's charged-span ledger to this
         // boundary (integer pJ = mW × ns, same discipline as the
         // EnergyMeter, so the last row agrees with the meter exactly).
-        let elapsed_ns = (s - self.epoch).nanos();
+        let elapsed_ns = (s - ts.epoch).nanos();
         let mut fleet_pj = 0u64;
-        let worker_power: Vec<f64> = (0..self.labels.len())
-            .map(|w| {
-                let spans = &self.espans[w];
-                let (mut cur, mut busy) = (self.ecursor[w], self.econsumed[w]);
-                while cur < spans.len() && spans[cur].1 <= s {
-                    busy += spans[cur].1 - spans[cur].0;
-                    cur += 1;
-                }
-                self.ecursor[w] = cur;
-                self.econsumed[w] = busy;
-                if cur < spans.len() && spans[cur].0 < s {
-                    busy += s - spans[cur].0;
-                }
-                let busy_ns = busy.nanos().min(elapsed_ns);
-                let (busy_mw, idle_mw) = self.power[w];
-                // Idle draw accrues only over powered time: a gated
-                // worker's lane is dark, exactly as in the EnergyMeter.
-                let powered_ns = self.pconsumed[w]
-                    + if self.pstate[w] { (s - self.pmark[w]).nanos() } else { 0 };
-                let pj = busy_mw * busy_ns + idle_mw * (powered_ns.saturating_sub(busy_ns));
-                fleet_pj += pj;
-                if elapsed_ns == 0 {
-                    0.0
-                } else {
-                    pj as f64 / elapsed_ns as f64 / 1e3
-                }
-            })
-            .collect();
+        let mut inflight = 0;
+        for ws in &mut self.workers {
+            let (busy, open) = busy_through(&mut ws.spans, &mut ws.busy, s);
+            // Spans on one worker never overlap, so at most the first
+            // open span can have started: that is the worker's batch
+            // in flight at the boundary.
+            inflight += usize::from(open.is_some_and(|start| start <= s));
+            ts.util.push(if horizon <= 0.0 { 0.0 } else { busy.as_secs() / horizon });
+            let (ebusy, _) = busy_through(&mut ws.espans, &mut ws.ebusy, s);
+            let busy_ns = ebusy.nanos().min(elapsed_ns);
+            let (busy_mw, idle_mw) = ws.rates;
+            // Idle draw accrues only over powered time: a gated
+            // worker's lane is dark, exactly as in the EnergyMeter.
+            let powered_ns = ws.pconsumed + if ws.powered { (s - ws.pmark).nanos() } else { 0 };
+            let pj = busy_mw * busy_ns + idle_mw * (powered_ns.saturating_sub(busy_ns));
+            fleet_pj += pj;
+            ts.power.push(if elapsed_ns == 0 { 0.0 } else { pj as f64 / elapsed_ns as f64 / 1e3 });
+            ts.circuit.push(ws.circuit);
+        }
         let energy_j = fleet_pj as f64 / 1e12;
-        self.active.retain(|&(_, end)| end > s);
-        let inflight = self.active.iter().filter(|&&(start, _)| start <= s).count();
         let burn =
             if self.win_done == 0 { 0.0 } else { self.win_miss as f64 / self.win_done as f64 };
         let shed_rate = if self.win_arrived == 0 {
@@ -681,34 +724,23 @@ impl TimeSeriesBuilder {
         self.win_miss = 0;
         self.win_arrived = 0;
         self.win_shed = 0;
-        self.samples.push(Sample {
-            t: s,
-            queue_depth,
-            inflight_batches: inflight,
-            completed: self.completed,
-            shed: self.shed,
-            slo_burn: burn,
-            shed_rate,
-            worker_util: util,
-            circuit: self.circuit.clone(),
-            worker_power,
-            energy_j,
-            img_per_watt: if energy_j > 0.0 { self.completed as f64 / energy_j } else { 0.0 },
-            live_sticks: self.scaling.as_ref().map_or(self.labels.len(), |sc| sc.live),
-            scale_events: self.scaling.as_ref().map_or(0, |sc| sc.events),
-        });
+        ts.t.push(s);
+        ts.queue_depth.push(queue_depth);
+        ts.inflight_batches.push(inflight);
+        ts.completed.push(self.completed);
+        ts.shed.push(self.shed);
+        ts.slo_burn.push(burn);
+        ts.shed_rate.push(shed_rate);
+        ts.energy_j.push(energy_j);
+        ts.img_per_watt.push(if energy_j > 0.0 { self.completed as f64 / energy_j } else { 0.0 });
+        ts.live_sticks.push(self.scaling.as_ref().map_or(self.workers.len(), |sc| sc.live));
+        ts.scale_events.push(self.scaling.as_ref().map_or(0, |sc| sc.events));
     }
 
     /// Sample through `end` and return the finished series.
     pub fn finish(mut self, end: SimTime, queue_depth: usize) -> TimeSeries {
         self.advance(end, queue_depth);
-        TimeSeries {
-            epoch: self.epoch,
-            interval: self.interval,
-            worker_labels: self.labels,
-            samples: self.samples,
-            scaling: self.scaling.is_some(),
-        }
+        self.ts
     }
 }
 
@@ -729,10 +761,10 @@ mod tests {
         let mut b = TimeSeriesBuilder::new(vec!["cpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
         b.advance(at(35.0), 2);
         let ts = b.finish(at(50.0), 0);
-        let times: Vec<f64> = ts.samples.iter().map(|s| s.t.as_millis()).collect();
+        let times: Vec<f64> = ts.t.iter().map(|t| t.as_millis()).collect();
         assert_eq!(times, vec![10.0, 20.0, 30.0, 40.0, 50.0]);
-        assert_eq!(ts.samples[0].queue_depth, 2);
-        assert_eq!(ts.samples[4].queue_depth, 0);
+        assert_eq!(ts.queue_depth[0], 2);
+        assert_eq!(ts.queue_depth[4], 0);
     }
 
     #[test]
@@ -741,10 +773,10 @@ mod tests {
         // Busy 0..15 ms: util at 10 ms = 1.0, at 20 ms = 0.75.
         b.on_batch(0, at(0.0), at(15.0));
         let ts = b.finish(at(20.0), 0);
-        assert!((ts.samples[0].worker_util[0] - 1.0).abs() < 1e-9);
-        assert!((ts.samples[1].worker_util[0] - 0.75).abs() < 1e-9);
-        assert_eq!(ts.samples[0].inflight_batches, 1);
-        assert_eq!(ts.samples[1].inflight_batches, 0);
+        assert!((ts.util_row(0)[0] - 1.0).abs() < 1e-9);
+        assert!((ts.util_row(1)[0] - 0.75).abs() < 1e-9);
+        assert_eq!(ts.inflight_batches[0], 1);
+        assert_eq!(ts.inflight_batches[1], 0);
     }
 
     #[test]
@@ -755,9 +787,9 @@ mod tests {
         b.advance(at(10.0), 0);
         b.on_complete(ms(9.0)); // miss, second window
         let ts = b.finish(at(20.0), 0);
-        assert!((ts.samples[0].slo_burn - 0.5).abs() < 1e-9);
-        assert!((ts.samples[1].slo_burn - 1.0).abs() < 1e-9);
-        assert_eq!(ts.samples[1].completed, 3);
+        assert!((ts.slo_burn[0] - 0.5).abs() < 1e-9);
+        assert!((ts.slo_burn[1] - 1.0).abs() < 1e-9);
+        assert_eq!(ts.completed[1], 3);
     }
 
     #[test]
@@ -786,15 +818,14 @@ mod tests {
         // Charged 0..5 ms, gated 5..10 ms.
         b.on_energy_span(0, at(0.0), at(5.0));
         let ts = b.finish(at(10.0), 0);
-        let s = &ts.samples[0];
         // Average power: (900 mW × 5 ms + 172 mW × 5 ms) / 10 ms = 536 mW.
-        assert!((s.worker_power[0] - 0.536).abs() < 1e-12, "{}", s.worker_power[0]);
+        assert!((ts.power_row(0)[0] - 0.536).abs() < 1e-12, "{}", ts.power_row(0)[0]);
         let want_j = (900u64 * 5_000_000 + 172 * 5_000_000) as f64 / 1e12;
-        assert!((s.energy_j - want_j).abs() < 1e-15, "{}", s.energy_j);
+        assert!((ts.energy_j[0] - want_j).abs() < 1e-15, "{}", ts.energy_j[0]);
         // No completions yet, so img/W stays zero rather than NaN.
-        assert_eq!(s.img_per_watt, 0.0);
+        assert_eq!(ts.img_per_watt[0], 0.0);
         // Utilization is untouched by energy-only spans.
-        assert_eq!(s.worker_util[0], 0.0);
+        assert_eq!(ts.util_row(0)[0], 0.0);
     }
 
     #[test]
@@ -807,9 +838,9 @@ mod tests {
         b.advance(at(10.0), 0);
         b.on_arrival();
         let ts = b.finish(at(20.0), 0);
-        assert!((ts.samples[0].shed_rate - 0.25).abs() < 1e-9);
-        assert_eq!(ts.samples[1].shed_rate, 0.0, "window resets");
-        assert_eq!(ts.samples[1].shed, 1, "cumulative column unaffected");
+        assert!((ts.shed_rate[0] - 0.25).abs() < 1e-9);
+        assert_eq!(ts.shed_rate[1], 0.0, "window resets");
+        assert_eq!(ts.shed[1], 1, "cumulative column unaffected");
     }
 
     #[test]
@@ -825,9 +856,9 @@ mod tests {
         b.circuit_event(0, 1.0, at(5.0));
         b.circuit_event(0, 0.0, at(15.0));
         let ts = b.finish(at(30.0), 0);
-        assert_eq!(ts.samples[0].circuit, vec![1.0, 0.0]); // t=10
-        assert_eq!(ts.samples[1].circuit, vec![0.0, 0.0]); // t=20
-        assert_eq!(ts.samples[2].circuit, vec![0.0, 1.0]); // t=30
+        assert_eq!(ts.circuit_row(0), vec![1.0, 0.0]); // t=10
+        assert_eq!(ts.circuit_row(1), vec![0.0, 0.0]); // t=20
+        assert_eq!(ts.circuit_row(2), vec![0.0, 1.0]); // t=30
     }
 
     #[test]
@@ -843,18 +874,19 @@ mod tests {
         let csv = ts.csv();
         let back = TimeSeries::from_csv(&csv).expect("own CSV must parse");
         assert_eq!(back.worker_labels, ts.worker_labels);
-        assert_eq!(back.samples.len(), ts.samples.len());
+        assert_eq!(back.len(), ts.len());
         assert_eq!(back.interval, ts.interval);
-        for (a, b) in back.samples.iter().zip(&ts.samples) {
-            assert_eq!(a.t, b.t);
-            assert_eq!(a.completed, b.completed);
-            assert!((a.slo_burn - b.slo_burn).abs() < 1e-6);
-            assert_eq!(a.circuit, b.circuit);
-            assert!((a.worker_power[0] - b.worker_power[0]).abs() < 1e-6);
-            assert!((a.energy_j - b.energy_j).abs() < 1e-6);
-            assert!((a.img_per_watt - b.img_per_watt).abs() < 1e-3 * (1.0 + b.img_per_watt));
+        for i in 0..ts.len() {
+            assert_eq!(back.t[i], ts.t[i]);
+            assert_eq!(back.completed[i], ts.completed[i]);
+            assert!((back.slo_burn[i] - ts.slo_burn[i]).abs() < 1e-6);
+            assert_eq!(back.circuit_row(i), ts.circuit_row(i));
+            assert!((back.power_row(i)[0] - ts.power_row(i)[0]).abs() < 1e-6);
+            assert!((back.energy_j[i] - ts.energy_j[i]).abs() < 1e-6);
+            let ipw = ts.img_per_watt[i];
+            assert!((back.img_per_watt[i] - ipw).abs() < 1e-3 * (1.0 + ipw));
         }
-        assert!(back.samples.iter().any(|s| s.energy_j > 0.0), "energy column survived");
+        assert!(back.energy_j.iter().any(|&e| e > 0.0), "energy column survived");
         assert!(TimeSeries::from_csv("nope\n1,2").is_err());
     }
 
@@ -881,17 +913,12 @@ mod tests {
         let ts = b.finish(at(30.0), 0);
         let header = ts.csv().lines().next().unwrap().to_string();
         assert!(header.ends_with(",energy_j,img_per_watt,live_sticks,scale_events"));
-        let live: Vec<usize> = ts.samples.iter().map(|s| s.live_sticks).collect();
-        let events: Vec<u64> = ts.samples.iter().map(|s| s.scale_events).collect();
-        assert_eq!(live, vec![2, 2, 3]);
-        assert_eq!(events, vec![1, 2, 2]);
+        assert_eq!(ts.live_sticks, vec![2, 2, 3]);
+        assert_eq!(ts.scale_events, vec![1, 2, 2]);
 
         let back = TimeSeries::from_csv(&ts.csv()).expect("scaled CSV must parse");
         assert!(back.scaling);
-        assert_eq!(
-            back.samples.iter().map(|s| (s.live_sticks, s.scale_events)).collect::<Vec<_>>(),
-            ts.samples.iter().map(|s| (s.live_sticks, s.scale_events)).collect::<Vec<_>>()
-        );
+        assert_eq!((&back.live_sticks, &back.scale_events), (&ts.live_sticks, &ts.scale_events));
         assert_eq!(back.csv(), ts.csv(), "scaled CSV round-trips byte-identically");
     }
 
@@ -903,7 +930,7 @@ mod tests {
         b.power_event(0, at(5.0), false);
         let ts = b.finish(at(10.0), 0);
         let want_j = (172u64 * 5_000_000) as f64 / 1e12;
-        assert!((ts.samples[0].energy_j - want_j).abs() < 1e-15, "{}", ts.samples[0].energy_j);
+        assert!((ts.energy_j[0] - want_j).abs() < 1e-15, "{}", ts.energy_j[0]);
         // Power back on at 12 ms: the second window adds idle draw again.
         let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(100.0));
         b.set_power(vec![(900, 172)]);
@@ -911,7 +938,7 @@ mod tests {
         b.power_event(0, at(12.0), true);
         let ts = b.finish(at(20.0), 0);
         let want_j = (172u64 * (5_000_000 + 8_000_000)) as f64 / 1e12;
-        assert!((ts.samples[1].energy_j - want_j).abs() < 1e-15, "{}", ts.samples[1].energy_j);
+        assert!((ts.energy_j[1] - want_j).abs() < 1e-15, "{}", ts.energy_j[1]);
     }
 
     #[test]
@@ -981,19 +1008,19 @@ mod tests {
         };
         let mut a = mk(4.0, true);
         let b = mk(8.0, false);
-        let (burn_a, util_b) = (a.samples[0].slo_burn, b.samples[0].worker_util[0]);
-        let energy_want = a.samples[1].energy_j + b.samples[1].energy_j;
+        let (burn_a, util_b) = (a.slo_burn[0], b.util_row(0)[0]);
+        let energy_want = a.energy_j[1] + b.energy_j[1];
         a.merge(&b).expect("same-shape merge");
-        assert_eq!(a.samples[0].completed, 2, "completions add");
-        assert_eq!(a.samples[0].queue_depth, 2, "queue depths add");
-        assert_eq!(a.samples[0].slo_burn, burn_a, "burn keeps the worst shard");
-        assert_eq!(a.samples[0].worker_util[0], util_b, "util keeps the busiest shard");
-        assert!((a.samples[1].energy_j - energy_want).abs() < 1e-15, "energy adds");
-        let ipw = a.samples[1].completed as f64 / a.samples[1].energy_j;
-        assert!((a.samples[1].img_per_watt - ipw).abs() < 1e-9, "img/W recomputed");
+        assert_eq!(a.completed[0], 2, "completions add");
+        assert_eq!(a.queue_depth[0], 2, "queue depths add");
+        assert_eq!(a.slo_burn[0], burn_a, "burn keeps the worst shard");
+        assert_eq!(a.util_row(0)[0], util_b, "util keeps the busiest shard");
+        assert!((a.energy_j[1] - energy_want).abs() < 1e-15, "energy adds");
+        let ipw = a.completed[1] as f64 / a.energy_j[1];
+        assert!((a.img_per_watt[1] - ipw).abs() < 1e-9, "img/W recomputed");
         // The merged series still exports and re-parses.
         let back = TimeSeries::from_csv(&a.csv()).expect("merged CSV parses");
-        assert_eq!(back.samples.len(), a.samples.len());
+        assert_eq!(back.len(), a.len());
     }
 
     #[test]
@@ -1009,13 +1036,13 @@ mod tests {
         let mut a = mk(10.0);
         let b = mk(30.0);
         a.merge(&b).unwrap();
-        assert_eq!(a.samples.len(), 3);
-        assert_eq!(a.samples[2].completed, 2, "both shards' finals in the tail");
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.completed[2], 2, "both shards' finals in the tail");
         // Shorter other: its final cumulative values carry through.
         let mut c = mk(30.0);
         c.merge(&mk(10.0)).unwrap();
-        assert_eq!(c.samples[2].completed, 2);
-        assert_eq!(c.samples[2].queue_depth, 0, "instantaneous columns don't carry");
+        assert_eq!(c.completed[2], 2);
+        assert_eq!(c.queue_depth[2], 0, "instantaneous columns don't carry");
 
         let mut d = mk(10.0);
         let other = TimeSeriesBuilder::new(vec!["x".into()], SimTime::ZERO, ms(10.0), ms(5.0))
@@ -1044,8 +1071,65 @@ mod tests {
                    10.000,1,0,2,0,0.000000,0.000000,0.400000,0.0\n";
         let ts = TimeSeries::from_csv(csv).expect("archived pre-energy CSV must parse");
         assert_eq!(ts.worker_labels, vec!["vpu".to_string()]);
-        assert_eq!(ts.samples[0].worker_power, vec![0.0]);
-        assert_eq!(ts.samples[0].energy_j, 0.0);
-        assert_eq!(ts.samples[0].img_per_watt, 0.0);
+        assert_eq!(ts.power_row(0), vec![0.0]);
+        assert_eq!(ts.energy_j[0], 0.0);
+        assert_eq!(ts.img_per_watt[0], 0.0);
+    }
+
+    #[test]
+    fn emit_is_a_named_profiler_scope() {
+        crate::prof::start();
+        let mut b = TimeSeriesBuilder::new(vec!["vpu".into()], SimTime::ZERO, ms(10.0), ms(5.0));
+        b.on_batch(0, at(0.0), at(4.0));
+        b.advance(at(35.0), 1);
+        let ts = b.finish(at(70.0), 0);
+        let r = crate::prof::stop();
+        let emit = r.scopes.iter().find(|s| s.name == "series.emit");
+        assert_eq!(emit.map(|s| s.calls), Some(ts.len() as u64), "one call per row: {r:#?}");
+    }
+
+    /// Spans and pending transitions the builder still holds.
+    fn retained(b: &TimeSeriesBuilder) -> usize {
+        let spans: usize = b.workers.iter().map(|w| w.spans.len() + w.espans.len()).sum();
+        spans + b.circuit_pending.0.len() + b.power_pending.0.len()
+    }
+
+    /// Feed `n` back-to-back requests (one 3 ms batch each, round-robin
+    /// over four workers, a circuit flap every 1000th) and return the
+    /// most state the builder ever held.
+    fn peak_retained(n: u64) -> usize {
+        let mut b = TimeSeriesBuilder::new(
+            (0..4).map(|w| format!("w{w}")).collect(),
+            SimTime::ZERO,
+            ms(10.0),
+            ms(5.0),
+        );
+        let mut peak = 0;
+        for id in 0..n {
+            let t = at(id as f64);
+            b.advance(t, 1);
+            b.on_arrival();
+            let w = (id % 4) as usize;
+            b.on_batch(w, t, t + ms(3.0));
+            b.on_energy_span(w, t, t + ms(3.0));
+            b.on_complete(ms(3.0));
+            if id % 1000 == 0 {
+                b.circuit_event(w, 1.0, t + ms(2.0));
+                b.power_event(w, t + ms(2.0), false);
+                b.power_event(w, t + ms(4.0), true);
+                b.circuit_event(w, 0.0, t + ms(4.0));
+            }
+            peak = peak.max(retained(&b));
+        }
+        let ts = b.finish(at(n as f64 + 10.0), 0);
+        assert_eq!(ts.completed.last(), Some(&n));
+        peak
+    }
+
+    #[test]
+    fn retained_spans_stay_bounded_independent_of_run_length() {
+        let (short, long) = (peak_retained(10_000), peak_retained(100_000));
+        assert!(long <= 64, "builder state grew with the run: {long} entries");
+        assert_eq!(short, long, "peak state must not depend on n");
     }
 }

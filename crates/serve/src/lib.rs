@@ -220,7 +220,7 @@ mod tests {
         }
 
         // Time series: sampled, with one utilization column per worker.
-        assert!(!obs.series.samples.is_empty(), "no samples");
+        assert!(!obs.series.is_empty(), "no samples");
         assert_eq!(obs.series.worker_labels.len(), workers.len());
         let csv = obs.series.csv();
         assert!(csv.starts_with("time_ms,queue_depth,inflight_batches,completed,shed,slo_burn"));
