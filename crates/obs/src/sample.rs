@@ -210,7 +210,10 @@ struct Req {
 /// Per-batch trigger state: a batch-scoped anomaly (hedge, failover,
 /// quarantine) marks every member request as keep-worthy. Holds the
 /// first trigger `(seq, reason)` and the memberships of undecided
-/// requests; the state is freed when the last of those is decided.
+/// requests; the state is freed when the last of those is decided. (A
+/// trigger on a batch with no undecided member leaves a flag-only state
+/// behind; the serving loop never emits one, since a batch's triggers
+/// precede its members' outcomes.)
 #[derive(Default)]
 struct BatchState {
     flag: Option<(u64, KeepReason)>,
@@ -279,9 +282,6 @@ pub struct SamplingRecorder {
     free: Vec<u32>,
     /// Undecided request id → slab index.
     open: IdMap<u32>,
-    /// The last request looked up: a request's events mostly arrive
-    /// back to back, so this skips most map lookups.
-    cur: Option<(u64, u32)>,
     batches: IdMap<BatchState>,
     /// Min-heap of reservoir candidates by `(latency, id)`; ties break
     /// on the id, so eviction is fully deterministic. The third field
@@ -307,7 +307,6 @@ impl SamplingRecorder {
             reqs: Vec::new(),
             free: Vec::new(),
             open: IdMap::default(),
-            cur: None,
             batches: IdMap::default(),
             reservoir: BinaryHeap::new(),
             stats,
@@ -326,13 +325,7 @@ impl SamplingRecorder {
 
     /// Slab index of undecided request `id`, opened on its first event.
     fn req_of(&mut self, id: u64) -> u32 {
-        if let Some((cid, r)) = self.cur {
-            if cid == id {
-                return r;
-            }
-        }
         if let Some(&r) = self.open.get(&id) {
-            self.cur = Some((id, r));
             return r;
         }
         let req = Req { id, head: NIL, tail: NIL, last_batch: None };
@@ -347,7 +340,6 @@ impl SamplingRecorder {
             }
         };
         self.open.insert(id, r);
-        self.cur = Some((id, r));
         r
     }
 
@@ -358,7 +350,6 @@ impl SamplingRecorder {
         let _prof = crate::prof::scope("sample.decide");
         let id = self.reqs[r as usize].id;
         self.open.remove(&id);
-        self.cur = None;
         self.stats.requests_seen += 1;
         // One walk over the request's chain finds its arrival and its
         // first keep flag, and releases its batch memberships. A flag
